@@ -49,7 +49,6 @@ from .matrix_core import (
     weighted_cesaro,
 )
 from .specfun import (
-    GammaEvaluator,
     duplication_residual,
     euler_reflection_residual,
     gamma_integral_closed_partial,
@@ -71,7 +70,6 @@ __all__ = [
     "EigenDecomposition",
     "EvaluationError",
     "FareySequence",
-    "GammaEvaluator",
     "Integrand",
     "NormReport",
     "OscillationReport",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from typing import Optional, Sequence
@@ -181,7 +182,7 @@ def _run_eigen(args) -> tuple[list[dict], dict]:
             {
                 "n": n,
                 "trace": sums.trace,
-                "trace_expected": n * integrand.eval(1.0),
+                "trace_expected": n * float(integrand.eval(1.0)),
                 "sum_sq": sums.sum_sq,
                 "frobenius_sq": frobenius_sq,
                 "normalized_sum_sq": sums.normalized_sum_sq,
@@ -288,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if args.command == "norm":
-        if args.m < 1.0:
-            parser.error(f"--m must be >= 1, got {args.m}")
+        if not (math.isfinite(args.m) and args.m >= 1.0):
+            parser.error(f"--m must be finite and >= 1, got {args.m}")
         if any(n < 1 for n in args.orders):
             parser.error("--orders must all be >= 1")
         _require_ascending(parser, "--orders", args.orders)
@@ -301,8 +302,10 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
                 args.points = _REFLECTION_GRID if args.mode == "reflection" else _DUPLICATION_GRID
             if args.mode == "reflection" and any(not 0.0 < s < 1.0 for s in args.points):
                 parser.error("--points for reflection must lie in (0, 1)")
-            if args.mode == "duplication" and any(z <= 0.0 for z in args.points):
-                parser.error("--points for duplication must be > 0")
+            if args.mode == "duplication" and not all(
+                math.isfinite(z) and z > 0.0 for z in args.points
+            ):
+                parser.error("--points for duplication must be finite and > 0")
         else:
             if args.points is not None:
                 parser.error(f"--points does not apply to mode {args.mode}")
@@ -317,8 +320,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             parser.error("--x must all be >= 1")
         _require_ascending(parser, "--x", args.x)
     elif args.command == "eigen":
-        if args.tol <= 0:
-            parser.error(f"--tol must be > 0, got {args.tol}")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            parser.error(f"--tol must be finite and > 0, got {args.tol}")
         if any(n < 1 for n in args.orders):
             parser.error("--orders must all be >= 1")
         _require_ascending(parser, "--orders", args.orders)

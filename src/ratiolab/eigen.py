@@ -15,11 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError
+from .errors import DENSE_LIMIT, CapacityError, ConvergenceError
 from .matrix_core import Integrand, SampledMatrixSpec, sample_row
 
-#: Default order bound for dense O(n^2) storage.
-DENSE_LIMIT = 2048
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 64
 
@@ -66,11 +64,11 @@ class EigenDecomposition:
     off_diag_residual: float
 
 
-def materialize(spec: SampledMatrixSpec, dense_limit: int = DENSE_LIMIT) -> DenseSymmetric:
+def materialize(spec: SampledMatrixSpec) -> DenseSymmetric:
     """Pack the sampled matrix's lower triangle: row k holds f(j/k), j <= k."""
     n = spec.order
-    if n > dense_limit:
-        raise CapacityError(f"order {n} exceeds dense limit {dense_limit}")
+    if n > DENSE_LIMIT:
+        raise CapacityError(f"order {n} exceeds dense limit {DENSE_LIMIT}")
     packed = np.empty(n * (n + 1) // 2, dtype=np.float64)
     offset = 0
     for k in range(1, n + 1):
@@ -100,8 +98,8 @@ def jacobi_eigenvalues(
     (carrying the residual) if max_sweeps is exhausted first.  Eigenvalues
     are returned ascending.  Operates on a private working copy.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     b = matrix.to_dense()
@@ -171,7 +169,6 @@ def spectral_sum_report(
     n: int,
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    dense_limit: int = DENSE_LIMIT,
 ) -> SpectralSums:
     """Trace, sum of squared eigenvalues, and the n^2-normalized square sum.
 
@@ -180,7 +177,7 @@ def spectral_sum_report(
     the normalized square sum tends to the integral of f^2 as n grows.
     """
     decomposition = jacobi_eigenvalues(
-        materialize(SampledMatrixSpec(integrand, n), dense_limit=dense_limit),
+        materialize(SampledMatrixSpec(integrand, n)),
         tol=tol,
         max_sweeps=max_sweeps,
     )

@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types, and the dense capacity limit, shared across the package."""
 
 from __future__ import annotations
+
+#: Largest matrix order stored densely; larger orders raise CapacityError.
+DENSE_LIMIT = 2048
 
 
 class CapacityError(ValueError):

@@ -15,13 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
+
+import numpy as np
 
 from .errors import CapacityError
 from .matrix_core import Integrand
 
 #: Largest sieve/table size accepted before raising CapacityError.
 MAX_SIEVE_LIMIT = 2_000_000
+#: Farey values sampled per integrand call in weyl_average.
+WEYL_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -103,17 +108,19 @@ def farey_sequence(x: int) -> FareySequence:
 def weyl_average(integrand: Integrand, x: int) -> float:
     """Mean of the integrand over the Farey fractions of order x.
 
-    Streams the fractions without materializing them and accumulates with
-    exact (error-cancelling) summation in ascending order, so the result
-    is bit-identical to averaging over farey_sequence(x).fractions.
+    Streams the fractions in blocks of WEYL_BLOCK, samples each block
+    with one integrand call, and feeds the values in ascending order into
+    one exact (error-cancelling) sum.  Memory stays O(block), and the
+    result is bit-identical to averaging over farey_sequence(x).fractions.
     """
+    fractions = farey_fractions(x)
     count = 0
 
     def sampled() -> Iterator[float]:
         nonlocal count
-        for b, c in farey_fractions(x):
-            count += 1
-            yield integrand.eval(b / c)
+        while block := [b / c for b, c in islice(fractions, WEYL_BLOCK)]:
+            count += len(block)
+            yield from integrand.eval(np.array(block)).tolist()
 
     total = math.fsum(sampled())
     return total / count

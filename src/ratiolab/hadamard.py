@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
-
-DENSE_LIMIT = 2048
+from .errors import DENSE_LIMIT, CapacityError
 
 
 @dataclass(frozen=True)
@@ -53,13 +51,13 @@ class OscillationReport:
     verdict: Verdict
 
 
-def sylvester(k: int, dense_limit: int = DENSE_LIMIT) -> SignMatrix:
+def sylvester(k: int) -> SignMatrix:
     """Order-2^k symmetric Hadamard matrix by the doubling construction."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     order = 2**k
-    if order > dense_limit:
-        raise CapacityError(f"order {order} exceeds dense limit {dense_limit}")
+    if order > DENSE_LIMIT:
+        raise CapacityError(f"order {order} exceeds dense limit {DENSE_LIMIT}")
     h = np.array([[1]], dtype=np.int64)
     for _ in range(k):
         h = np.block([[h, h], [h, -h]])

@@ -2,20 +2,14 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .matrix_core import Integrand
 from .specfun import LN_GAMMA_INTEGRAND
 
-EXP = Integrand(eval=math.exp, label="exp", eval_array=np.exp)
-IDENTITY = Integrand(
-    eval=lambda x: x, label="identity", eval_array=lambda x: np.asarray(x, dtype=np.float64)
-)
-CONST1 = Integrand(
-    eval=lambda x: 1.0, label="const1", eval_array=lambda x: np.ones_like(x)
-)
+EXP = Integrand(eval=np.exp, label="exp")
+IDENTITY = Integrand(eval=lambda x: np.asarray(x, dtype=np.float64), label="identity")
+CONST1 = Integrand(eval=lambda x: np.ones_like(x, dtype=np.float64), label="const1")
 LNGAMMA = LN_GAMMA_INTEGRAND
 
 PRESETS: dict[str, Integrand] = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,18 +33,16 @@ _MAX_RECURSION_DEPTH = 80
 class Integrand:
     """A deterministic real function on (0, 1] with a short label.
 
-    ``eval`` must be finite at every rational j/k with 1 <= j <= k; sample
-    points never include 0.  ``eval_array`` is an optional vectorized
-    evaluation over a float64 array, used to speed up row sampling; it must
-    agree with ``eval`` up to floating-point rounding.
+    ``eval`` is vectorized: it maps a float64 array to a float64 array of
+    the same shape, elementwise, and a float is accepted as a 0-d array
+    (scalar callers take ``float(...)`` of the result).  It must be finite
+    at every rational j/k with 1 <= j <= k; sample points never include 0.
+    Matrix entries, rows, quadrature and Farey averages all sample this one
+    function, so they see the same bits at the same point.
     """
 
-    eval: Callable[[float], float]
+    eval: Callable[[np.ndarray], np.ndarray]
     label: str
-    eval_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __call__(self, x: float) -> float:
-        return self.eval(x)
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,7 @@ def matrix_entry(spec: SampledMatrixSpec, i: int, j: int) -> float:
     n = spec.order
     if not (1 <= i <= n) or not (1 <= j <= n):
         raise IndexError(f"indices ({i}, {j}) outside 1..{n}")
-    return spec.integrand.eval(min(i, j) / max(i, j))
+    return float(spec.integrand.eval(min(i, j) / max(i, j)))
 
 
 def sample_row(integrand: Integrand, k: int) -> np.ndarray:
@@ -104,16 +102,18 @@ def sample_row(integrand: Integrand, k: int) -> np.ndarray:
     integrand returns a non-finite value anywhere in the row.
     """
     x = np.arange(1, k + 1, dtype=np.float64) / k
-    if integrand.eval_array is not None:
-        values = np.asarray(integrand.eval_array(x), dtype=np.float64)
-    else:
-        values = np.array([integrand.eval(float(t)) for t in x], dtype=np.float64)
+    values = np.asarray(integrand.eval(x), dtype=np.float64)
     if not np.all(np.isfinite(values)):
         j = int(np.argmin(np.isfinite(values))) + 1
         raise EvaluationError(
             f"integrand {integrand.label!r} is not finite at {j}/{k}"
         )
     return values
+
+
+def _check_exponent(m: float) -> None:
+    if not (math.isfinite(m) and m >= 1.0):
+        raise ValueError(f"norm exponent must be finite and >= 1, got {m}")
 
 
 def _abs_power(values: np.ndarray, m: float) -> np.ndarray:
@@ -133,8 +133,7 @@ def norm_power(spec: SampledMatrixSpec, m: float) -> float:
     use exact (error-cancelling) accumulation, so the result is
     reproducible bit for bit on a given platform.  Memory stays O(n).
     """
-    if m < 1.0:
-        raise ValueError(f"norm exponent must be >= 1, got {m}")
+    _check_exponent(m)
     f = spec.integrand
     row_sums = []
     for k in range(1, spec.order + 1):
@@ -163,52 +162,61 @@ def norm_report(spec: SampledMatrixSpec, m: float, predicted: float) -> NormRepo
 def predict_limit(integrand: Integrand, m: float) -> float:
     """Adaptive-quadrature value of the integral of |f(x)|^m over (0, 1].
 
-    Composite Simpson with recursive bisection; each split halves the local
-    tolerance, so the total error stays below QUADRATURE_TOL.  The interval
-    is open at 0 (no evaluation at or below OPEN_LEFT_EDGE), which handles
-    integrands with an integrable logarithmic singularity at the origin.
-    Raises QuadratureError once QUADRATURE_PANEL_BUDGET panels are spent.
+    Composite Simpson with bisection; each split halves the local
+    tolerance, so the total error stays below QUADRATURE_TOL.  The panels
+    are refined level by level, and all unfinished panels of a level are
+    evaluated in one call of the integrand; the accepted panels are summed
+    exactly.  The interval is open at 0 (no evaluation at or below
+    OPEN_LEFT_EDGE), which handles integrands with an integrable
+    logarithmic singularity at the origin.  Raises QuadratureError once
+    QUADRATURE_PANEL_BUDGET panels are spent.
     """
-    if m < 1.0:
-        raise ValueError(f"norm exponent must be >= 1, got {m}")
-    f = integrand.eval
-    panels = 0
+    _check_exponent(m)
 
-    def g(x: float) -> float:
-        return abs(f(x)) ** m
+    def g(x: np.ndarray) -> np.ndarray:
+        return _abs_power(np.asarray(integrand.eval(x), dtype=np.float64), m)
 
-    def simpson(a: float, b: float, fa: float, fmid: float, fb: float) -> float:
+    def simpson(a, b, fa, fmid, fb):
         return (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
 
-    def refine(a, mid, b, fa, fmid, fb, whole, tol, depth):
-        nonlocal panels
-        panels += 2
-        if panels > QUADRATURE_PANEL_BUDGET:
+    a, b = OPEN_LEFT_EDGE, 1.0
+    mid = 0.5 * (a + b)
+    fa, fmid, fb = g(np.array([a, mid, b]))
+    # one column per unfinished panel: a, mid, b, f(a), f(mid), f(b), Simpson
+    panels = np.array([[a], [mid], [b], [fa], [fmid], [fb], [simpson(a, b, fa, fmid, fb)]])
+    used = 3
+    tol = QUADRATURE_TOL
+    accepted = []
+    for depth in range(_MAX_RECURSION_DEPTH + 1):
+        used += 2 * panels.shape[1]
+        if used > QUADRATURE_PANEL_BUDGET:
             raise QuadratureError(
                 f"quadrature for {integrand.label!r}^({m}) exceeded "
                 f"{QUADRATURE_PANEL_BUDGET} panels"
             )
+        a, mid, b, fa, fmid, fb, whole = panels
         lm = 0.5 * (a + mid)
         rm = 0.5 * (mid + b)
-        flm = g(lm)
-        frm = g(rm)
+        flm, frm = np.split(g(np.concatenate([lm, rm])), 2)
         left = simpson(a, mid, fa, flm, fmid)
         right = simpson(mid, b, fmid, frm, fb)
         delta = left + right - whole
         # past _MAX_RECURSION_DEPTH the interval width is at the limit of
         # float resolution and the Richardson estimate is pure roundoff
-        if abs(delta) <= 15.0 * tol or depth >= _MAX_RECURSION_DEPTH:
-            return left + right + delta / 15.0
-        return refine(
-            a, lm, mid, fa, flm, fmid, left, 0.5 * tol, depth + 1
-        ) + refine(mid, rm, b, fmid, frm, fb, right, 0.5 * tol, depth + 1)
-
-    a, b = OPEN_LEFT_EDGE, 1.0
-    mid = 0.5 * (a + b)
-    fa, fmid, fb = g(a), g(mid), g(b)
-    panels += 3
-    whole = simpson(a, b, fa, fmid, fb)
-    return refine(a, mid, b, fa, fmid, fb, whole, QUADRATURE_TOL, 0)
+        done = (np.abs(delta) <= 15.0 * tol) | (depth == _MAX_RECURSION_DEPTH)
+        accepted.extend((left + right + delta / 15.0)[done].tolist())
+        if done.all():
+            break
+        # each unfinished panel [a, b] splits into [a, mid] and [mid, b]
+        panels = np.concatenate(
+            [
+                np.stack([a, lm, mid, fa, flm, fmid, left]),
+                np.stack([mid, rm, b, fmid, frm, fb, right]),
+            ],
+            axis=1,
+        )[:, np.tile(~done, 2)]
+        tol *= 0.5
+    return math.fsum(accepted)
 
 
 def weighted_cesaro(data: CesaroInput) -> float:

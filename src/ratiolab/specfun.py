@@ -14,7 +14,6 @@ tolerances belong to the tests, not the library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,64 +40,34 @@ LN_SQRT_2PI = 0.5 * LN_2PI
 LN_SQRT_PI = 0.5 * math.log(math.pi)
 
 
-@dataclass(frozen=True)
-class GammaEvaluator:
-    """ln Gamma on (0, inf) from a fixed Lanczos coefficient table.
+def ln_gamma(x: np.ndarray) -> np.ndarray:
+    """ln Gamma elementwise over positive x, from the fixed Lanczos table.
 
-    Arguments below 1/2 are routed through the reflection formula
-    Gamma(x) Gamma(1-x) = pi / sin(pi x), which keeps the series argument
-    away from the pole at 0 and preserves accuracy there.
+    Vectorized like a numpy ufunc: an array gives an array of the same
+    shape, a float gives a numpy float.  Arguments below 1/2 are routed
+    through the reflection formula Gamma(x) Gamma(1-x) = pi / sin(pi x),
+    which keeps the series argument away from the pole at 0 and preserves
+    accuracy there.
     """
-
-    coefficients: tuple[float, ...] = LANCZOS_COEFFICIENTS
-    shift: float = LANCZOS_SHIFT
-
-    def _series(self, z: float) -> float:
-        s = self.coefficients[0]
-        for i, c in enumerate(self.coefficients[1:], start=1):
-            s += c / (z + i)
-        return s
-
-    def ln_gamma(self, x: float) -> float:
-        if not x > 0:
-            raise ValueError(f"ln_gamma requires x > 0, got {x!r}")
-        if x < 0.5:
-            return math.log(math.pi / math.sin(math.pi * x)) - self.ln_gamma(1.0 - x)
-        z = x - 1.0
-        t = z + self.shift + 0.5
-        return LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(self._series(z))
-
-    def ln_gamma_array(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized ln_gamma over a positive float64 array."""
-        x = np.asarray(x, dtype=np.float64)
-        if not np.all(x > 0):
-            raise ValueError("ln_gamma requires all arguments > 0")
-        reflect = x < 0.5
-        xr = np.where(reflect, 1.0 - x, x)
-        z = xr - 1.0
-        s = np.full_like(z, self.coefficients[0])
-        for i, c in enumerate(self.coefficients[1:], start=1):
-            s += c / (z + i)
-        t = z + self.shift + 0.5
-        out = LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(s)
-        if reflect.any():
-            xm = x[reflect]
-            out[reflect] = np.log(np.pi / np.sin(np.pi * xm)) - out[reflect]
-        return out
-
-
-DEFAULT_EVALUATOR = GammaEvaluator()
-
-
-def ln_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0 via the package's own Lanczos evaluator."""
-    return DEFAULT_EVALUATOR.ln_gamma(x)
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(x > 0):
+        raise ValueError("ln_gamma requires all arguments > 0")
+    reflect = x < 0.5
+    xr = np.where(reflect, 1.0 - x, x)
+    z = xr - 1.0
+    s = np.full_like(z, LANCZOS_COEFFICIENTS[0])
+    for i, c in enumerate(LANCZOS_COEFFICIENTS[1:], start=1):
+        s += c / (z + i)
+    t = z + LANCZOS_SHIFT + 0.5
+    out = np.asarray(LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(s))
+    if reflect.any():
+        xm = x[reflect]
+        out[reflect] = np.log(np.pi / np.sin(np.pi * xm)) - out[reflect]
+    return out[()]
 
 
 #: ln Gamma packaged for matrix sampling; ln Gamma(x) >= 0 on (0, 1].
-LN_GAMMA_INTEGRAND = Integrand(
-    eval=ln_gamma, label="lngamma", eval_array=DEFAULT_EVALUATOR.ln_gamma_array
-)
+LN_GAMMA_INTEGRAND = Integrand(eval=ln_gamma, label="lngamma")
 
 
 def euler_reflection_residual(s: float) -> float:
@@ -108,19 +77,23 @@ def euler_reflection_residual(s: float) -> float:
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"reflection requires 0 < s < 1, got {s!r}")
-    return ln_gamma(s) + ln_gamma(1.0 - s) - math.log(math.pi / math.sin(math.pi * s))
+    return (
+        float(ln_gamma(s))
+        + float(ln_gamma(1.0 - s))
+        - math.log(math.pi / math.sin(math.pi * s))
+    )
 
 
 def duplication_residual(z: float) -> float:
     """Signed residual of sqrt(pi) Gamma(2z) = 2^(2z-1) Gamma(z) Gamma(z + 1/2)."""
-    if not z > 0:
-        raise ValueError(f"duplication requires z > 0, got {z!r}")
+    if not (math.isfinite(z) and z > 0):
+        raise ValueError(f"duplication requires finite z > 0, got {z!r}")
     return (
         LN_SQRT_PI
-        + ln_gamma(2.0 * z)
+        + float(ln_gamma(2.0 * z))
         - (2.0 * z - 1.0) * LN_2
-        - ln_gamma(z)
-        - ln_gamma(z + 0.5)
+        - float(ln_gamma(z))
+        - float(ln_gamma(z + 0.5))
     )
 
 
@@ -160,7 +133,7 @@ def gamma_row_log_product(k: int) -> float:
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return math.fsum(ln_gamma(j / k) for j in range(1, k))
+    return math.fsum(ln_gamma(np.arange(1, k) / k).tolist())
 
 
 def gamma_row_log_product_closed(k: int) -> float:

@@ -147,6 +147,12 @@ class TestExitCodes:
             ["eigen", "--tol", "-1"],
             ["hadamard", "--k", "-1"],
             ["nonsense"],
+            ["eigen", "--orders", "4,8", "--tol", "nan"],
+            ["eigen", "--tol", "inf"],
+            ["norm", "--m", "nan"],
+            ["norm", "--m", "inf"],
+            ["gamma", "--mode", "duplication", "--points", "nan"],
+            ["gamma", "--mode", "duplication", "--points", "1.0,inf"],
         ],
     )
     def test_usage_errors_exit_two(self, capsys, argv):

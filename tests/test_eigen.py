@@ -38,7 +38,7 @@ class TestMaterialize:
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
-            materialize(SampledMatrixSpec(EXP, 10), dense_limit=5)
+            materialize(SampledMatrixSpec(EXP, 2049))
 
     def test_entry_accessor_and_dense_expansion(self):
         dense = materialize(SampledMatrixSpec(EXP, 5))
@@ -91,8 +91,9 @@ class TestJacobi:
 
     def test_parameter_validation(self):
         dense = materialize(SampledMatrixSpec(EXP, 2))
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(dense, tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                jacobi_eigenvalues(dense, tol=tol)
         with pytest.raises(ValueError):
             jacobi_eigenvalues(dense, max_sweeps=-1)
 

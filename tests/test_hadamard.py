@@ -47,7 +47,7 @@ class TestSylvester:
         with pytest.raises(ValueError):
             sylvester(-1)
         with pytest.raises(CapacityError):
-            sylvester(3, dense_limit=4)
+            sylvester(12)
 
 
 class TestSignMatrix:
