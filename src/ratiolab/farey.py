@@ -25,6 +25,8 @@ from .matrix_core import Integrand
 
 #: Largest sieve/table size accepted before raising CapacityError.
 MAX_SIEVE_LIMIT = 2_000_000
+#: Largest order farey_sequence materializes: Phi(5000) pairs at ~120 B each stay under 1 GiB.
+MAX_FAREY_ORDER = 5000
 #: Farey values sampled per integrand call in weyl_average.
 WEYL_BLOCK = 1 << 14
 
@@ -101,6 +103,8 @@ def farey_fractions(x: int) -> Iterator[tuple[int, int]]:
 
 def farey_sequence(x: int) -> FareySequence:
     """Materialized Farey sequence of order x; count equals Phi(x)."""
+    if x > MAX_FAREY_ORDER:
+        raise CapacityError(f"Farey order {x} exceeds materialization budget {MAX_FAREY_ORDER}")
     fractions = tuple(farey_fractions(x))
     return FareySequence(order=x, fractions=fractions, count=len(fractions))
 

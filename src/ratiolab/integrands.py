@@ -19,11 +19,3 @@ PRESETS: dict[str, Integrand] = {
     "const1": CONST1,
 }
 
-
-def by_name(name: str) -> Integrand:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown integrand {name!r}; choose from {sorted(PRESETS)}"
-        ) from None

@@ -106,8 +106,7 @@ def sine_product_odd_residual(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     order = 2 * n + 1
-    log_prod = math.fsum(math.log(math.sin(k * math.pi / order)) for k in range(1, n + 1))
-    return order - math.exp(2 * n * LN_2 + 2.0 * log_prod)
+    return order - math.exp((order - 1) * LN_2 + 2.0 * sine_half_product_log(order))
 
 
 def sine_product_even_residual(n: int) -> float:
@@ -115,8 +114,7 @@ def sine_product_even_residual(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     order = 2 * n
-    log_prod = math.fsum(math.log(math.sin(k * math.pi / order)) for k in range(1, n + 1))
-    return order - math.exp((2 * n - 1) * LN_2 + 2.0 * log_prod)
+    return order - math.exp((order - 1) * LN_2 + 2.0 * sine_half_product_log(order))
 
 
 def sine_half_product_log(k: int) -> float:

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from ratiolab.cli import main
+from ratiolab.farey import MAX_FAREY_ORDER
 
 
 def run_cli(capsys, argv):
@@ -153,6 +154,14 @@ class TestExitCodes:
             ["norm", "--m", "inf"],
             ["gamma", "--mode", "duplication", "--points", "nan"],
             ["gamma", "--mode", "duplication", "--points", "1.0,inf"],
+            ["farey", "--x", "5,3"],
+            ["eigen", "--orders", "8,4"],
+            ["hadamard", "--k", "3,2"],
+            ["gamma", "--orders", "16,2"],
+            ["gamma", "--mode", "integral", "--points", "0.5"],
+            ["eigen", "--orders", "0"],
+            ["gamma", "--mode", "sine-odd", "--orders", "0"],
+            ["hadamard", "--check", "oscillation", "--k", "0,1"],
         ],
     )
     def test_usage_errors_exit_two(self, capsys, argv):
@@ -165,3 +174,17 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "error" in err.lower()
+
+    def test_farey_beyond_capacity_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, ["farey", "--x", str(MAX_FAREY_ORDER + 1)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_unwritable_out_path_exits_one_with_diagnostic(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "r.csv"
+        code, out, err = run_cli(capsys, ["norm", "--orders", "3", "--out", str(target)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not target.exists()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ratiolab.errors import CapacityError
 from ratiolab.farey import (
+    MAX_FAREY_ORDER,
     MAX_SIEVE_LIMIT,
     coprime_density,
     farey_fractions,
@@ -106,6 +107,10 @@ class TestFareySequence:
     def test_validation(self):
         with pytest.raises(ValueError):
             farey_sequence(0)
+
+    def test_capacity_limit(self):
+        with pytest.raises(CapacityError):
+            farey_sequence(MAX_FAREY_ORDER + 1)
 
 
 class TestWeylAverage:
