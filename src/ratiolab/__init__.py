@@ -41,6 +41,8 @@ from .matrix_core import (
     NormReport,
     SampledMatrixSpec,
     convergence_table,
+    exact_parts,
+    exact_sum,
     matrix_entry,
     norm_power,
     norm_report,
@@ -83,6 +85,8 @@ __all__ = [
     "coprime_density",
     "duplication_residual",
     "euler_reflection_residual",
+    "exact_parts",
+    "exact_sum",
     "farey_fractions",
     "farey_sequence",
     "gamma_integral_closed_partial",

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DENSE_LIMIT, CapacityError, ConvergenceError
-from .matrix_core import Integrand, SampledMatrixSpec, sample_row
+from .matrix_core import Integrand, SampledMatrixSpec, exact_sum, sample_row
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 64
@@ -182,8 +182,8 @@ def spectral_sum_report(
         max_sweeps=max_sweeps,
     )
     lam = decomposition.eigenvalues
-    trace = math.fsum(lam.tolist())
-    sum_sq = math.fsum((lam * lam).tolist())
+    trace = exact_sum(lam)
+    sum_sq = exact_sum(lam * lam)
     return SpectralSums(
         trace=trace, sum_sq=sum_sq, normalized_sum_sq=sum_sq / (n * n)
     )

@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError
-from .matrix_core import Integrand
+from .matrix_core import Integrand, exact_parts
 
 #: Largest sieve/table size accepted before raising CapacityError.
 MAX_SIEVE_LIMIT = 2_000_000
@@ -113,21 +113,18 @@ def weyl_average(integrand: Integrand, x: int) -> float:
     """Mean of the integrand over the Farey fractions of order x.
 
     Streams the fractions in blocks of WEYL_BLOCK, samples each block
-    with one integrand call, and feeds the values in ascending order into
-    one exact (error-cancelling) sum.  Memory stays O(block), and the
-    result is bit-identical to averaging over farey_sequence(x).fractions.
+    with one integrand call and reduces it with exact_parts; one fsum of
+    all the parts is the correctly rounded total.  Memory stays O(block),
+    and the result is bit-identical to averaging over
+    farey_sequence(x).fractions.
     """
     fractions = farey_fractions(x)
     count = 0
-
-    def sampled() -> Iterator[float]:
-        nonlocal count
-        while block := [b / c for b, c in islice(fractions, WEYL_BLOCK)]:
-            count += len(block)
-            yield from integrand.eval(np.array(block)).tolist()
-
-    total = math.fsum(sampled())
-    return total / count
+    parts: list[float] = []
+    while block := [b / c for b, c in islice(fractions, WEYL_BLOCK)]:
+        count += len(block)
+        parts += exact_parts(integrand.eval(np.array(block)))
+    return math.fsum(parts) / count
 
 
 def coprime_density(n: int) -> float:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .matrix_core import Integrand, SampledMatrixSpec, norm_power
+from .matrix_core import Integrand, SampledMatrixSpec, exact_sum, norm_power
 
 #: Lanczos shift g: the series argument is offset by g + 1/2.
 LANCZOS_SHIFT = 7.0
@@ -131,7 +131,7 @@ def gamma_row_log_product(k: int) -> float:
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return math.fsum(ln_gamma(np.arange(1, k) / k).tolist())
+    return exact_sum(ln_gamma(np.arange(1, k) / k))
 
 
 def gamma_row_log_product_closed(k: int) -> float:

@@ -1,4 +1,6 @@
 import math
+import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,10 +10,13 @@ from hypothesis import strategies as st
 from ratiolab.errors import EvaluationError, QuadratureError
 from ratiolab.integrands import CONST1, EXP, IDENTITY, LNGAMMA, PRESETS
 from ratiolab.matrix_core import (
+    SUM_BLOCK,
     CesaroInput,
     Integrand,
     SampledMatrixSpec,
     convergence_table,
+    exact_parts,
+    exact_sum,
     matrix_entry,
     norm_power,
     norm_report,
@@ -23,6 +28,79 @@ from ratiolab.matrix_core import (
 from oracles import exp_row_mean, naive_norm_power, naive_weighted_sum
 
 E = math.e
+
+
+def _sum_outcome(total):
+    """The bits of total() in hex (so -0.0 differs from 0.0), or the name of what it raises."""
+    try:
+        return total().hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def _assert_exact_sum_is_fsum(x):
+    before = x.copy()
+    assert _sum_outcome(lambda: exact_sum(x)) == _sum_outcome(lambda: math.fsum(x.tolist()))
+    np.testing.assert_array_equal(x, before)
+
+
+#: Largest order of the bitwise norm_power oracle; its triangle fills 3 blocks.
+ORACLE_ORDER = 400
+
+
+@lru_cache(maxsize=None)
+def _triangle_entries(name):
+    """Entries (j, k), j <= k <= ORACLE_ORDER, row by row, from matrix_entry."""
+    spec = SampledMatrixSpec(PRESETS[name], ORACLE_ORDER)
+    entries = np.array(
+        [matrix_entry(spec, j, k) for k in range(1, ORACLE_ORDER + 1) for j in range(1, k + 1)]
+    )
+    entries.flags.writeable = False  # shared by every test through the cache
+    return entries
+
+
+class TestExactSum:
+    @given(values=st.lists(st.floats(), max_size=60))
+    @settings(max_examples=300)
+    def test_arbitrary_floats(self, values):
+        # hypothesis floats include subnormals, signed zeros, values near
+        # 1e308 (the fsum fallback) and inf/nan
+        _assert_exact_sum_is_fsum(np.array(values, dtype=np.float64))
+
+    @given(
+        values=st.lists(
+            st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=40
+        ),
+        eps=st.sampled_from([0.0, 2.0**-52, 2.0**-26, 1e-10]),
+    )
+    @settings(max_examples=200)
+    def test_heavy_cancellation(self, values, eps):
+        x = np.array(values)
+        _assert_exact_sum_is_fsum(np.concatenate([x, -x * (1.0 + eps)]))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        size=st.sampled_from([0, 1, 2, SUM_BLOCK - 1, SUM_BLOCK + 1, 3 * SUM_BLOCK + 5]),
+        # binary exponents: subnormal, across 1e-300..1e300, near 1e308, all
+        exponents=st.sampled_from([(-1100, -1000), (-997, 997), (1000, 1025), (-1100, 1025)]),
+        zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_wide_arrays(self, seed, size, exponents, zero_share):
+        rng = np.random.default_rng(seed)
+        x = np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(*exponents, size))
+        zeros = rng.random(size) < zero_share
+        x[zeros] = np.copysign(0.0, rng.uniform(-1.0, 1.0, int(zeros.sum())))
+        _assert_exact_sum_is_fsum(x)
+
+    def test_small_sizes(self):
+        for values in ([], [0.0], [-0.0], [-0.0, -0.0], [5e-324], [1e308, 1e308], [1.0, -1.0]):
+            _assert_exact_sum_is_fsum(np.array(values, dtype=np.float64))
+
+    def test_few_parts(self):
+        # 1001 values spanning 2^-58..2^58: each pass strips 53 - 10 bits
+        x = np.exp(np.linspace(-40.0, 40.0, 1001))
+        assert len(exact_parts(x)) <= 5
 
 
 class TestMatrixEntry:
@@ -126,6 +204,25 @@ class TestNormPower:
         spec = SampledMatrixSpec(signed, 9)
         assert norm_power(spec, 1.0) == pytest.approx(naive_norm_power(spec, 1.0), rel=1e-12)
         assert norm_power(spec, 1.0) > 0.0
+
+    @pytest.mark.parametrize("value,m", [(1e200, 2.0), (1e308, 1.0)])
+    def test_overflow_raises_evaluation_error(self, value, m):
+        # 1e200^2 overflows each term, 3 * 1e308 overflows the sum
+        big = Integrand(eval=lambda x: np.full_like(x, value), label="big")
+        with pytest.raises(EvaluationError, match=re.escape(f"|big|^{m}")):
+            norm_power(SampledMatrixSpec(big, 3), m)
+
+    @pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_bitwise_against_fsum_oracle(self, name, m):
+        # orders 100 / 300 / 400 fill 1 / 2 / 3 blocks of SUM_BLOCK values;
+        # the powers go through numpy like the library's, because numpy's
+        # vectorized pow and the C library's pow differ in the last bit
+        entries = _triangle_entries(name)
+        for n in (100, 300, ORACLE_ORDER):
+            terms = np.abs(entries[: n * (n + 1) // 2]) ** m
+            expected = 2.0 * math.fsum(terms.tolist()) - n * float(terms[0])
+            assert norm_power(SampledMatrixSpec(PRESETS[name], n), m).hex() == expected.hex()
 
 
 class TestNormReport:
