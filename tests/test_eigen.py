@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ratiolab.eigen import (
+    DEFAULT_TOL,
     DenseSymmetric,
     jacobi_eigenvalues,
     materialize,
@@ -122,6 +123,48 @@ class TestJacobi:
         shuffled = pack(dense.to_dense()[np.ix_(perm, perm)])
         permuted = jacobi_eigenvalues(shuffled).eigenvalues
         np.testing.assert_allclose(permuted, base, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "integrand, n",
+        [
+            pytest.param(integrand, n, id=f"{integrand.label}-{n}")
+            for integrand, orders in ((EXP, (64, 127, 128, 256)), (LNGAMMA, (64, 127, 128)))
+            for n in orders
+        ],
+    )
+    def test_eigenvalues_against_eigvalsh(self, integrand, n):
+        # At the stopping residual r <= tol * ||A||_F, Weyl's inequality puts
+        # every diagonal entry within r of its eigenvalue; the factor 2 leaves
+        # room for rounding in the rotations.
+        dense = materialize(SampledMatrixSpec(integrand, n))
+        full = dense.to_dense()
+        bound = 2.0 * DEFAULT_TOL * math.sqrt(float(np.sum(full * full)))
+        got = jacobi_eigenvalues(dense).eigenvalues
+        expected = np.linalg.eigvalsh(full)
+        assert got.shape == (n,)
+        assert float(np.max(np.abs(got - expected))) <= bound
+
+    @pytest.mark.parametrize(
+        "full",
+        [
+            np.zeros((1, 1)),
+            np.array([[2.5]]),
+            np.zeros((3, 3)),
+            np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+            np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]),
+            np.pad(np.ones((2, 2)), (0, 3)),
+            np.pad(np.ones((2, 2)), (3, 0)),
+            np.pad(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]), (1, 1)),
+        ],
+        ids=["zero1", "scalar1", "zero3", "ones2+0", "0+ones2", "ones2+0x3", "0x3+ones2", "0+tridiag3+0"],
+    )
+    def test_odd_orders_keep_exact_zero_eigenvalues(self, full):
+        result = jacobi_eigenvalues(pack(full))
+        expected = np.linalg.eigvalsh(full)
+        assert result.eigenvalues.shape == (full.shape[0],)
+        np.testing.assert_allclose(result.eigenvalues, expected, rtol=0, atol=1e-14)
+        zeros = int(np.sum(np.abs(expected) <= 1e-14))
+        assert int(np.sum(np.abs(result.eigenvalues) <= 1e-14)) == zeros
 
 
 class TestSpectralSumReport:
