@@ -4,6 +4,8 @@ from __future__ import annotations
 
 #: Largest matrix order stored densely; larger orders raise CapacityError.
 DENSE_LIMIT = 2048
+#: Largest order jacobi_eigenvalues accepts: order 512 takes about 30 s.
+MAX_JACOBI_ORDER = 512
 
 
 class CapacityError(ValueError):

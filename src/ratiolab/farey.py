@@ -26,6 +26,8 @@ from .matrix_core import Integrand, _exact_total
 MAX_SIEVE_LIMIT = 2_000_000
 #: Largest order farey_sequence materializes: Phi(5000) pairs at ~120 B each stay under 1 GiB.
 MAX_FAREY_ORDER = 5000
+#: Largest order weyl_average accepts: its O(x^2) samples take about 15-22 s at x = 20000.
+MAX_WEYL_ORDER = 20_000
 
 
 @dataclass(frozen=True)
@@ -113,10 +115,12 @@ def weyl_average(integrand: Integrand, x: int) -> float:
     gcd(b, c) = 1, and sums the rows by _exact_total; that sum does not
     depend on the order of the values, so the result is bit-identical to
     averaging over farey_sequence(x).fractions.  Raises EvaluationError if
-    the sum is not finite.
+    the sum is not finite, and CapacityError above MAX_WEYL_ORDER.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
+    if x > MAX_WEYL_ORDER:
+        raise CapacityError(f"Weyl average order {x} exceeds budget {MAX_WEYL_ORDER}")
     count = 0
 
     def rows() -> Iterator[np.ndarray]:

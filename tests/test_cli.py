@@ -4,6 +4,7 @@ import math
 import pytest
 
 from ratiolab.cli import main
+from ratiolab.errors import MAX_JACOBI_ORDER
 from ratiolab.farey import MAX_FAREY_ORDER
 
 
@@ -227,6 +228,13 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "error" in err.lower()
+
+    def test_eigen_beyond_jacobi_limit_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, ["eigen", "--orders", str(MAX_JACOBI_ORDER + 1)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Jacobi limit" in err
 
     def test_farey_beyond_capacity_exits_one(self, capsys):
         code, out, err = run_cli(capsys, ["farey", "--x", str(MAX_FAREY_ORDER + 1)])

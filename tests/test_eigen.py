@@ -10,7 +10,7 @@ from ratiolab.eigen import (
     materialize,
     spectral_sum_report,
 )
-from ratiolab.errors import CapacityError, ConvergenceError
+from ratiolab.errors import MAX_JACOBI_ORDER, CapacityError, ConvergenceError
 from ratiolab.integrands import EXP, IDENTITY, LNGAMMA
 from ratiolab.matrix_core import SampledMatrixSpec, norm_power
 
@@ -89,6 +89,31 @@ class TestJacobi:
         with pytest.raises(ConvergenceError) as excinfo:
             jacobi_eigenvalues(dense, max_sweeps=0)
         assert excinfo.value.residual > 0.0
+
+    def test_capacity_limit_raises_at_once(self):
+        n = MAX_JACOBI_ORDER + 1
+        dense = DenseSymmetric(order=n, entries=np.zeros(n * (n + 1) // 2))
+        with pytest.raises(CapacityError, match=f"order {n} exceeds Jacobi limit"):
+            jacobi_eigenvalues(dense)
+
+    @pytest.mark.parametrize(
+        "apq, zero_exactly",
+        [(1e-160, False), (1e-310, True)],
+        ids=["large-angle", "below-angle-resolution"],
+    )
+    def test_tiny_pair_next_to_a_rotated_pair(self, apq, zero_exactly):
+        # the pair (1, 2) has diff = 1: at apq = 1e-160, theta = 5e159 and
+        # theta^2 overflows, so t is the large-angle limit 1 / (2 theta); at
+        # 1e-310, |apq| <= 1e-300 |diff| and the pair is zeroed, not rotated.
+        # The pair (3, 4) keeps the matrix from counting as converged.
+        full = np.zeros((4, 4))
+        full[:2, :2] = [[0.0, apq], [apq, 1.0]]
+        full[2:, 2:] = [[2.0, 1.0], [1.0, 2.0]]
+        result = jacobi_eigenvalues(pack(full))
+        assert result.sweeps_used == 1
+        np.testing.assert_allclose(result.eigenvalues, [0.0, 1.0, 1.0, 3.0], rtol=0, atol=1e-15)
+        assert abs(result.eigenvalues[0]) <= 1e-300
+        assert (result.eigenvalues[0] == 0.0) == zero_exactly
 
     def test_parameter_validation(self):
         dense = materialize(SampledMatrixSpec(EXP, 2))

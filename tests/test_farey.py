@@ -10,6 +10,7 @@ from ratiolab.errors import CapacityError, EvaluationError
 from ratiolab.farey import (
     MAX_FAREY_ORDER,
     MAX_SIEVE_LIMIT,
+    MAX_WEYL_ORDER,
     coprime_density,
     farey_fractions,
     farey_sequence,
@@ -163,6 +164,17 @@ class TestWeylAverage:
     def test_validation(self):
         with pytest.raises(ValueError):
             weyl_average(EXP, 0)
+
+    def test_capacity_limit_raises_without_sampling(self):
+        calls = []
+
+        def counting(x):
+            calls.append(np.size(x))
+            return np.exp(x)
+
+        with pytest.raises(CapacityError):
+            weyl_average(Integrand(eval=counting, label="counting"), MAX_WEYL_ORDER + 1)
+        assert calls == []
 
     def test_error_trend_along_doubling_orders(self):
         # equidistribution error fluctuates (it crosses zero), so assert the
