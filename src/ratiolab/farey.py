@@ -26,7 +26,7 @@ from .matrix_core import Integrand, _exact_total
 MAX_SIEVE_LIMIT = 2_000_000
 #: Largest order farey_sequence materializes: Phi(5000) pairs at ~120 B each stay under 1 GiB.
 MAX_FAREY_ORDER = 5000
-#: Largest order weyl_average accepts: its O(x^2) samples take about 15-22 s at x = 20000.
+#: Largest order weyl_average accepts: its O(x^2) samples take 16-20 s at x = 20000 (2-core x86).
 MAX_WEYL_ORDER = 20_000
 
 
