@@ -3,7 +3,7 @@
 A small laboratory around the symmetric matrices with entries
 f(min(i,j)/max(i,j)): streaming entrywise m-norms and their integral
 limits, a self-contained log-Gamma evaluator with its classical identity
-suite, Farey-sequence equidistribution, a cyclic Jacobi eigensolver for
+suite, Farey-sequence equidistribution, a round-robin Jacobi eigensolver for
 spectral sums, and the Hadamard last-two-rows oscillation bound.
 """
 

@@ -3,7 +3,7 @@
 Subcommands: norm, gamma, farey, eigen, hadamard.  Output is CSV (header
 row, '.' decimal point, 17 significant digits, LF line endings) or JSON
 (one top-level object with "meta" and "rows").  Runs are deterministic:
-identical flags produce identical bytes, unless --timestamp is given.
+identical flags produce identical bytes.
 
 Exit status: 0 on success, 2 on usage errors, 1 on computation errors.
 """
@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from datetime import datetime, timezone
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import eigen as eigen_mod
@@ -260,11 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
         sub.add_argument("--out", default=None, help="output path (default: stdout)")
-        sub.add_argument(
-            "--timestamp",
-            action="store_true",
-            help="include a timestamp in JSON meta (breaks byte determinism)",
-        )
 
     norm = subparsers.add_parser("norm", help="entrywise m-norm convergence table")
     norm.add_argument("--f", choices=sorted(PRESETS), default="exp")
@@ -315,8 +309,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _parse_sweep(args)
     try:
         rows, meta = args.handler(args)
-        if args.timestamp:
-            meta["timestamp"] = datetime.now(timezone.utc).isoformat()
         text = _render_csv(rows) if args.format == "csv" else _render_json(meta, rows)
         if args.out is None:
             sys.stdout.write(text)

@@ -26,37 +26,21 @@ DEFAULT_MAX_SWEEPS = 64
 
 @dataclass(frozen=True)
 class DenseSymmetric:
-    """Symmetric matrix stored as its packed lower triangle (row-major)."""
+    """Symmetric matrix stored as its full (order, order) array, read-only."""
 
     order: int
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        expected = self.order * (self.order + 1) // 2
-        if self.entries.shape != (expected,):
+        if self.entries.shape != (self.order, self.order):
             raise ValueError(
-                f"packed triangle of order {self.order} needs {expected} entries, "
-                f"got shape {self.entries.shape}"
+                f"expected shape ({self.order}, {self.order}), got {self.entries.shape}"
             )
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("entries must all be finite")
+        if not np.array_equal(self.entries, self.entries.T):
+            raise ValueError("entries must be exactly symmetric")
         self.entries.flags.writeable = False
-
-    def entry(self, i: int, j: int) -> float:
-        """Logical entry (i, j), 1-based; reads the stored (max, min) slot."""
-        if not (1 <= i <= self.order) or not (1 <= j <= self.order):
-            raise IndexError(f"indices ({i}, {j}) outside 1..{self.order}")
-        r, c = max(i, j), min(i, j)
-        return float(self.entries[r * (r - 1) // 2 + c - 1])
-
-    def to_dense(self) -> np.ndarray:
-        """Full symmetric (n, n) array; a fresh writable copy."""
-        n = self.order
-        full = np.zeros((n, n), dtype=np.float64)
-        rows, cols = np.tril_indices(n)
-        full[rows, cols] = self.entries
-        full[cols, rows] = self.entries
-        return full
 
 
 @dataclass(frozen=True)
@@ -67,16 +51,16 @@ class EigenDecomposition:
 
 
 def materialize(spec: SampledMatrixSpec) -> DenseSymmetric:
-    """Pack the sampled matrix's lower triangle: row k holds f(j/k), j <= k."""
+    """The sampled matrix: row k and column k hold f(j/k) for j <= k."""
     n = spec.order
     if n > DENSE_LIMIT:
         raise CapacityError(f"order {n} exceeds dense limit {DENSE_LIMIT}")
-    packed = np.empty(n * (n + 1) // 2, dtype=np.float64)
-    offset = 0
+    full = np.empty((n, n), dtype=np.float64)
     for k in range(1, n + 1):
-        packed[offset : offset + k] = sample_row(spec.integrand, k)
-        offset += k
-    return DenseSymmetric(order=n, entries=packed)
+        row = sample_row(spec.integrand, k)
+        full[k - 1, :k] = row
+        full[:k, k - 1] = row
+    return DenseSymmetric(order=n, entries=full)
 
 
 def _off_diag_frobenius(b: np.ndarray) -> float:
@@ -153,16 +137,15 @@ def jacobi_eigenvalues(
     n = matrix.order
     if n > MAX_JACOBI_ORDER:
         raise CapacityError(f"order {n} exceeds Jacobi limit {MAX_JACOBI_ORDER}")
-    b = np.pad(matrix.to_dense(), (0, n % 2))
+    b = np.pad(matrix.entries, (0, n % 2))
     m = b.shape[0]
     slots = np.arange(m)  # original index in each slot; index n is the bye
     move = _round_robin_move(m)
     flat_stride = 2 * (m + 1)
     threshold = tol * math.sqrt(float(np.sum(b * b)))
     sweeps = 0
-    while _off_diag_frobenius(b) > threshold:
+    while (residual := _off_diag_frobenius(b)) > threshold:
         if sweeps >= max_sweeps:
-            residual = _off_diag_frobenius(b)
             raise ConvergenceError(
                 f"Jacobi did not converge in {max_sweeps} sweeps "
                 f"(off-diagonal residual {residual:.3e}, threshold {threshold:.3e})",
@@ -186,7 +169,7 @@ def jacobi_eigenvalues(
     return EigenDecomposition(
         eigenvalues=eigenvalues,
         sweeps_used=sweeps,
-        off_diag_residual=_off_diag_frobenius(b),
+        off_diag_residual=residual,
     )
 
 

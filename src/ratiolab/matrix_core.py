@@ -235,13 +235,21 @@ def predict_limit(integrand: Integrand, m: float) -> float:
     evaluated in one call of the integrand; the accepted panels are summed
     exactly.  The interval is open at 0 (no evaluation at or below
     OPEN_LEFT_EDGE), which handles integrands with an integrable
-    logarithmic singularity at the origin.  Raises QuadratureError once
-    QUADRATURE_PANEL_BUDGET panels are spent.
+    logarithmic singularity at the origin.  Raises EvaluationError, naming
+    the smallest bad point of the batch, as soon as a value |f(x)|^m is not
+    finite, and QuadratureError once QUADRATURE_PANEL_BUDGET panels are spent.
     """
     _check_exponent(m)
 
     def g(x: np.ndarray) -> np.ndarray:
-        return _abs_power(np.asarray(integrand.eval(x), dtype=np.float64), m)
+        # a power |f|^m that overflows to inf is reported below, not warned about
+        with np.errstate(over="ignore"):
+            values = _abs_power(np.asarray(integrand.eval(x), dtype=np.float64), m)
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = float(np.min(x[~finite]))
+            raise EvaluationError(f"|{integrand.label}|^{m} is not finite at x = {bad}")
+        return values
 
     def simpson(a, b, fa, fmid, fb):
         return (b - a) / 6.0 * (fa + 4.0 * fmid + fb)

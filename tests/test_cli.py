@@ -216,6 +216,7 @@ class TestExitCodes:
             ["eigen", "--orders", "0"],
             ["gamma", "--mode", "sine-odd", "--orders", "0"],
             ["hadamard", "--check", "oscillation", "--k", "0,1"],
+            ["norm", "--orders", "4", "--timestamp"],
         ],
     )
     def test_usage_errors_exit_two(self, capsys, argv):

@@ -11,64 +11,77 @@ from ratiolab.eigen import (
     spectral_sum_report,
 )
 from ratiolab.errors import MAX_JACOBI_ORDER, CapacityError, ConvergenceError
-from ratiolab.integrands import EXP, IDENTITY, LNGAMMA
-from ratiolab.matrix_core import SampledMatrixSpec, norm_power
+from ratiolab.integrands import EXP, IDENTITY, LNGAMMA, PRESETS
+from ratiolab.matrix_core import SampledMatrixSpec, matrix_entry, norm_power
 
 E = math.e
 
 
-def pack(full: np.ndarray) -> DenseSymmetric:
-    n = full.shape[0]
-    rows, cols = np.tril_indices(n)
-    return DenseSymmetric(order=n, entries=full[rows, cols].astype(np.float64))
+def symmetric(full: np.ndarray) -> DenseSymmetric:
+    return DenseSymmetric(order=full.shape[0], entries=full)
 
 
 class TestMaterialize:
     def test_order_one(self):
         dense = materialize(SampledMatrixSpec(EXP, 1))
-        np.testing.assert_allclose(dense.entries, [E], rtol=1e-15)
+        np.testing.assert_allclose(dense.entries, [[E]], rtol=1e-15)
 
-    def test_order_two_exp_triangle(self):
+    def test_order_two_exp(self):
         dense = materialize(SampledMatrixSpec(EXP, 2))
-        np.testing.assert_allclose(dense.entries, [E, math.exp(0.5), E], rtol=1e-15)
+        off = math.exp(0.5)
+        np.testing.assert_allclose(dense.entries, [[E, off], [off, E]], rtol=1e-15)
 
-    def test_order_two_lngamma_triangle(self):
+    def test_order_two_lngamma(self):
         dense = materialize(SampledMatrixSpec(LNGAMMA, 2))
-        expected = [0.0, 0.5 * math.log(math.pi), 0.0]
-        np.testing.assert_allclose(dense.entries, expected, atol=1e-13)
+        off = 0.5 * math.log(math.pi)
+        np.testing.assert_allclose(dense.entries, [[0.0, off], [off, 0.0]], atol=1e-13)
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             materialize(SampledMatrixSpec(EXP, 2049))
 
-    def test_entry_accessor_and_dense_expansion(self):
-        dense = materialize(SampledMatrixSpec(EXP, 5))
-        full = dense.to_dense()
-        for i in range(1, 6):
-            for j in range(1, 6):
-                assert dense.entry(i, j) == full[i - 1, j - 1]
-                assert dense.entry(i, j) == dense.entry(j, i)
-        with pytest.raises(IndexError):
-            dense.entry(0, 1)
-        with pytest.raises(IndexError):
-            dense.entry(1, 6)
+    @pytest.mark.parametrize("n", [5, 33])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_entries_are_matrix_entries_bitwise(self, name, n):
+        spec = SampledMatrixSpec(PRESETS[name], n)
+        entries = materialize(spec).entries
+        mismatches = [
+            (i, j)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            if entries[i - 1, j - 1].hex() != matrix_entry(spec, i, j).hex()
+        ]
+        assert mismatches == []
 
-    def test_rejects_non_finite_entries(self):
+    def test_entries_are_read_only(self):
+        dense = materialize(SampledMatrixSpec(EXP, 3))
+        assert not dense.entries.flags.writeable
         with pytest.raises(ValueError):
-            DenseSymmetric(order=2, entries=np.array([1.0, math.nan, 2.0]))
+            dense.entries[0, 1] = 0.0
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.array([1.0, 0.5, 2.0]),
+            np.array([[1.0, 0.5], [0.25, 2.0]]),
+            np.array([[1.0, math.nan], [math.nan, 2.0]]),
+        ],
+        ids=["packed-triangle", "asymmetric", "nan"],
+    )
+    def test_rejects_invalid_entries(self, entries):
+        with pytest.raises(ValueError):
+            DenseSymmetric(order=2, entries=entries)
 
 
 class TestJacobi:
     def test_already_diagonal_needs_no_sweeps(self):
-        dense = pack(np.diag([1.0, 2.0]))
-        result = jacobi_eigenvalues(dense)
+        result = jacobi_eigenvalues(symmetric(np.diag([1.0, 2.0])))
         np.testing.assert_allclose(result.eigenvalues, [1.0, 2.0], rtol=0, atol=0)
         assert result.sweeps_used == 0
         assert result.off_diag_residual == 0.0
 
     def test_antidiagonal_two_by_two(self):
-        dense = pack(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        result = jacobi_eigenvalues(dense)
+        result = jacobi_eigenvalues(symmetric(np.array([[0.0, 1.0], [1.0, 0.0]])))
         np.testing.assert_allclose(result.eigenvalues, [-1.0, 1.0], atol=1e-15)
 
     def test_sampled_two_by_two_closed_form(self):
@@ -81,7 +94,7 @@ class TestJacobi:
         dense = materialize(SampledMatrixSpec(EXP, 48))
         result = jacobi_eigenvalues(dense, tol=1e-12)
         assert np.all(np.diff(result.eigenvalues) >= 0)
-        initial = math.sqrt(float(np.sum(dense.to_dense() ** 2)))
+        initial = math.sqrt(float(np.sum(dense.entries**2)))
         assert result.off_diag_residual <= 1e-12 * initial
 
     def test_non_convergence_carries_residual(self):
@@ -92,9 +105,8 @@ class TestJacobi:
 
     def test_capacity_limit_raises_at_once(self):
         n = MAX_JACOBI_ORDER + 1
-        dense = DenseSymmetric(order=n, entries=np.zeros(n * (n + 1) // 2))
         with pytest.raises(CapacityError, match=f"order {n} exceeds Jacobi limit"):
-            jacobi_eigenvalues(dense)
+            jacobi_eigenvalues(symmetric(np.zeros((n, n))))
 
     @pytest.mark.parametrize(
         "apq, zero_exactly",
@@ -109,7 +121,7 @@ class TestJacobi:
         full = np.zeros((4, 4))
         full[:2, :2] = [[0.0, apq], [apq, 1.0]]
         full[2:, 2:] = [[2.0, 1.0], [1.0, 2.0]]
-        result = jacobi_eigenvalues(pack(full))
+        result = jacobi_eigenvalues(symmetric(full))
         assert result.sweeps_used == 1
         np.testing.assert_allclose(result.eigenvalues, [0.0, 1.0, 1.0, 3.0], rtol=0, atol=1e-15)
         assert abs(result.eigenvalues[0]) <= 1e-300
@@ -145,8 +157,7 @@ class TestJacobi:
         base = jacobi_eigenvalues(dense).eigenvalues
         rng = np.random.default_rng(20240817)
         perm = rng.permutation(n)
-        shuffled = pack(dense.to_dense()[np.ix_(perm, perm)])
-        permuted = jacobi_eigenvalues(shuffled).eigenvalues
+        permuted = jacobi_eigenvalues(symmetric(dense.entries[np.ix_(perm, perm)])).eigenvalues
         np.testing.assert_allclose(permuted, base, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize(
@@ -162,7 +173,7 @@ class TestJacobi:
         # every diagonal entry within r of its eigenvalue; the factor 2 leaves
         # room for rounding in the rotations.
         dense = materialize(SampledMatrixSpec(integrand, n))
-        full = dense.to_dense()
+        full = dense.entries
         bound = 2.0 * DEFAULT_TOL * math.sqrt(float(np.sum(full * full)))
         got = jacobi_eigenvalues(dense).eigenvalues
         expected = np.linalg.eigvalsh(full)
@@ -184,7 +195,7 @@ class TestJacobi:
         ids=["zero1", "scalar1", "zero3", "ones2+0", "0+ones2", "ones2+0x3", "0x3+ones2", "0+tridiag3+0"],
     )
     def test_odd_orders_keep_exact_zero_eigenvalues(self, full):
-        result = jacobi_eigenvalues(pack(full))
+        result = jacobi_eigenvalues(symmetric(full))
         expected = np.linalg.eigvalsh(full)
         assert result.eigenvalues.shape == (full.shape[0],)
         np.testing.assert_allclose(result.eigenvalues, expected, rtol=0, atol=1e-14)

@@ -98,9 +98,8 @@ class TestSpectralSumSq:
     def test_matches_eigenvalue_route(self):
         matrix = sylvester(4)
         assert spectral_sum_sq(matrix) == 256
-        rows, cols = np.tril_indices(16)
-        packed = matrix.entries.astype(np.float64)[rows, cols]
-        lam = jacobi_eigenvalues(DenseSymmetric(order=16, entries=packed)).eigenvalues
+        full = matrix.entries.astype(np.float64)
+        lam = jacobi_eigenvalues(DenseSymmetric(order=16, entries=full)).eigenvalues
         assert math.fsum((lam * lam).tolist()) == pytest.approx(256.0, rel=1e-8)
 
     @given(k=st.integers(min_value=0, max_value=5), data=st.data())

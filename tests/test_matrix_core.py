@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ratiolab.errors import EvaluationError, QuadratureError
 from ratiolab.integrands import CONST1, EXP, IDENTITY, LNGAMMA, PRESETS
 from ratiolab.matrix_core import (
+    OPEN_LEFT_EDGE,
     SUM_BLOCK,
     CesaroInput,
     Integrand,
@@ -279,6 +280,20 @@ class TestPredictLimit:
         for m in (0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 predict_limit(EXP, m)
+
+    @pytest.mark.parametrize(
+        "f, m, bad",
+        [
+            (lambda x: np.where(x > 0.25, np.inf, 0.0), 1.0, 0.5),
+            (lambda x: np.full_like(x, np.nan), 1.0, OPEN_LEFT_EDGE),
+            (lambda x: np.full_like(x, 1e200), 2.0, OPEN_LEFT_EDGE),
+        ],
+        ids=["inf-above-quarter", "nan-everywhere", "power-overflows"],
+    )
+    def test_non_finite_sample_fails_fast(self, f, m, bad):
+        message = re.escape(f"|bad|^{m} is not finite at x = {bad}")
+        with pytest.raises(EvaluationError, match=message):
+            predict_limit(Integrand(eval=f, label="bad"), m)
 
 
 class TestWeightedCesaro:
