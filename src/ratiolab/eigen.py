@@ -26,21 +26,25 @@ DEFAULT_MAX_SWEEPS = 64
 
 @dataclass(frozen=True)
 class DenseSymmetric:
-    """Symmetric matrix stored as its full (order, order) array, read-only."""
+    """Symmetric matrix held as a checked, read-only float64 copy of its full
+    array, so the caller's array can neither change it later nor be frozen."""
 
-    order: int
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.entries.shape != (self.order, self.order):
-            raise ValueError(
-                f"expected shape ({self.order}, {self.order}), got {self.entries.shape}"
-            )
-        if not np.all(np.isfinite(self.entries)):
+        a = np.array(self.entries, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square 2-D array, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
             raise ValueError("entries must all be finite")
-        if not np.array_equal(self.entries, self.entries.T):
+        if not np.array_equal(a, a.T):
             raise ValueError("entries must be exactly symmetric")
-        self.entries.flags.writeable = False
+        a.flags.writeable = False
+        object.__setattr__(self, "entries", a)
+
+    @property
+    def order(self) -> int:
+        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ def materialize(spec: SampledMatrixSpec) -> DenseSymmetric:
         row = sample_row(spec.integrand, k)
         full[k - 1, :k] = row
         full[:k, k - 1] = row
-    return DenseSymmetric(order=n, entries=full)
+    return DenseSymmetric(full)
 
 
 def _off_diag_frobenius(b: np.ndarray) -> float:
@@ -166,11 +170,7 @@ def jacobi_eigenvalues(
         sweeps += 1
     eigenvalues = np.sort(np.diagonal(b)[slots < n])
     eigenvalues.flags.writeable = False
-    return EigenDecomposition(
-        eigenvalues=eigenvalues,
-        sweeps_used=sweeps,
-        off_diag_residual=residual,
-    )
+    return EigenDecomposition(eigenvalues, sweeps_used=sweeps, off_diag_residual=residual)
 
 
 class SpectralSums(NamedTuple):

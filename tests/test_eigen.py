@@ -17,21 +17,17 @@ from ratiolab.matrix_core import SampledMatrixSpec, matrix_entry, norm_power
 E = math.e
 
 
-def symmetric(full: np.ndarray) -> DenseSymmetric:
-    return DenseSymmetric(order=full.shape[0], entries=full)
-
-
 class TestMaterialize:
     def test_order_one(self):
         dense = materialize(SampledMatrixSpec(EXP, 1))
         np.testing.assert_allclose(dense.entries, [[E]], rtol=1e-15)
 
-    def test_order_two_exp(self):
+    def test_order_two_exp_triangle(self):
         dense = materialize(SampledMatrixSpec(EXP, 2))
         off = math.exp(0.5)
         np.testing.assert_allclose(dense.entries, [[E, off], [off, E]], rtol=1e-15)
 
-    def test_order_two_lngamma(self):
+    def test_order_two_lngamma_triangle(self):
         dense = materialize(SampledMatrixSpec(LNGAMMA, 2))
         off = 0.5 * math.log(math.pi)
         np.testing.assert_allclose(dense.entries, [[0.0, off], [off, 0.0]], atol=1e-13)
@@ -59,29 +55,44 @@ class TestMaterialize:
         with pytest.raises(ValueError):
             dense.entries[0, 1] = 0.0
 
+    def test_keeps_a_private_float64_copy(self):
+        source = np.array([[1, 2], [2, 3]])
+        dense = DenseSymmetric(source)
+        assert dense.order == 2
+        assert dense.entries.dtype == np.float64
+        assert source.flags.writeable
+        source[0, 1] = 5
+        np.testing.assert_array_equal(dense.entries, [[1.0, 2.0], [2.0, 3.0]])
+
     @pytest.mark.parametrize(
-        "entries",
+        "entries, message",
         [
-            np.array([1.0, 0.5, 2.0]),
-            np.array([[1.0, 0.5], [0.25, 2.0]]),
-            np.array([[1.0, math.nan], [math.nan, 2.0]]),
+            (np.array([1.0, 0.5, 2.0]), "square"),
+            (np.ones((2, 3)), "square"),
+            (np.array([[1.0, 0.5], [0.25, 2.0]]), "symmetric"),
         ],
-        ids=["packed-triangle", "asymmetric", "nan"],
+        ids=["packed-triangle", "rectangular", "asymmetric"],
     )
-    def test_rejects_invalid_entries(self, entries):
-        with pytest.raises(ValueError):
-            DenseSymmetric(order=2, entries=entries)
+    def test_rejects_invalid_entries(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            DenseSymmetric(entries)
+
+    def test_rejects_non_finite_entries(self):
+        # symmetric and square, so only the finiteness check can reject them
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                DenseSymmetric(np.array([[1.0, bad], [bad, 2.0]]))
 
 
 class TestJacobi:
     def test_already_diagonal_needs_no_sweeps(self):
-        result = jacobi_eigenvalues(symmetric(np.diag([1.0, 2.0])))
+        result = jacobi_eigenvalues(DenseSymmetric(np.diag([1.0, 2.0])))
         np.testing.assert_allclose(result.eigenvalues, [1.0, 2.0], rtol=0, atol=0)
         assert result.sweeps_used == 0
         assert result.off_diag_residual == 0.0
 
     def test_antidiagonal_two_by_two(self):
-        result = jacobi_eigenvalues(symmetric(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        result = jacobi_eigenvalues(DenseSymmetric(np.array([[0.0, 1.0], [1.0, 0.0]])))
         np.testing.assert_allclose(result.eigenvalues, [-1.0, 1.0], atol=1e-15)
 
     def test_sampled_two_by_two_closed_form(self):
@@ -106,7 +117,7 @@ class TestJacobi:
     def test_capacity_limit_raises_at_once(self):
         n = MAX_JACOBI_ORDER + 1
         with pytest.raises(CapacityError, match=f"order {n} exceeds Jacobi limit"):
-            jacobi_eigenvalues(symmetric(np.zeros((n, n))))
+            jacobi_eigenvalues(DenseSymmetric(np.zeros((n, n))))
 
     @pytest.mark.parametrize(
         "apq, zero_exactly",
@@ -121,7 +132,7 @@ class TestJacobi:
         full = np.zeros((4, 4))
         full[:2, :2] = [[0.0, apq], [apq, 1.0]]
         full[2:, 2:] = [[2.0, 1.0], [1.0, 2.0]]
-        result = jacobi_eigenvalues(symmetric(full))
+        result = jacobi_eigenvalues(DenseSymmetric(full))
         assert result.sweeps_used == 1
         np.testing.assert_allclose(result.eigenvalues, [0.0, 1.0, 1.0, 3.0], rtol=0, atol=1e-15)
         assert abs(result.eigenvalues[0]) <= 1e-300
@@ -157,7 +168,7 @@ class TestJacobi:
         base = jacobi_eigenvalues(dense).eigenvalues
         rng = np.random.default_rng(20240817)
         perm = rng.permutation(n)
-        permuted = jacobi_eigenvalues(symmetric(dense.entries[np.ix_(perm, perm)])).eigenvalues
+        permuted = jacobi_eigenvalues(DenseSymmetric(dense.entries[np.ix_(perm, perm)])).eigenvalues
         np.testing.assert_allclose(permuted, base, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize(
@@ -195,7 +206,7 @@ class TestJacobi:
         ids=["zero1", "scalar1", "zero3", "ones2+0", "0+ones2", "ones2+0x3", "0x3+ones2", "0+tridiag3+0"],
     )
     def test_odd_orders_keep_exact_zero_eigenvalues(self, full):
-        result = jacobi_eigenvalues(symmetric(full))
+        result = jacobi_eigenvalues(DenseSymmetric(full))
         expected = np.linalg.eigvalsh(full)
         assert result.eigenvalues.shape == (full.shape[0],)
         np.testing.assert_allclose(result.eigenvalues, expected, rtol=0, atol=1e-14)
