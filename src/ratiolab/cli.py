@@ -230,7 +230,8 @@ HADAMARD_CHECKS = {
 
 def _run_hadamard(args) -> tuple[list[dict], dict]:
     row = HADAMARD_CHECKS[args.check].row
-    rows = [{"k": k, "order": 2**k, **row(hadamard_mod.sylvester(k))} for k in args.k]
+    matrices = ((k, hadamard_mod.sylvester(k)) for k in args.k)
+    rows = [{"k": k, "order": matrix.order, **row(matrix)} for k, matrix in matrices]
     return rows, {"command": "hadamard", "check": args.check, "k": list(args.k)}
 
 

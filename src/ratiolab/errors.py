@@ -1,4 +1,4 @@
-"""Exception types, and the dense capacity limit, shared across the package."""
+"""Exception types, and the two capacity limits (dense, Jacobi), shared across the package."""
 
 from __future__ import annotations
 

@@ -34,8 +34,11 @@ MAX_WEYL_ORDER = 20_000
 class TotientTable:
     """phi(n) for 1 <= n <= limit; values[0] is an unused sentinel."""
 
-    limit: int
     values: tuple[int, ...]
+
+    @property
+    def limit(self) -> int:
+        return len(self.values) - 1
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,10 @@ class FareySequence:
 
     order: int
     fractions: tuple[tuple[int, int], ...]
-    count: int
+
+    @property
+    def count(self) -> int:
+        return len(self.fractions)
 
 
 def totient_sieve(x: int) -> TotientTable:
@@ -70,7 +76,7 @@ def totient_sieve(x: int) -> TotientTable:
                 phi[ip] = phi[i] * p
                 break
             phi[ip] = phi[i] * (p - 1)
-    return TotientTable(limit=x, values=tuple(phi))
+    return TotientTable(tuple(phi))
 
 
 def phi_summatory(x: int) -> int:
@@ -104,8 +110,7 @@ def farey_sequence(x: int) -> FareySequence:
     """Materialized Farey sequence of order x; count equals Phi(x)."""
     if x > MAX_FAREY_ORDER:
         raise CapacityError(f"Farey order {x} exceeds materialization budget {MAX_FAREY_ORDER}")
-    fractions = tuple(farey_fractions(x))
-    return FareySequence(order=x, fractions=fractions, count=len(fractions))
+    return FareySequence(order=x, fractions=tuple(farey_fractions(x)))
 
 
 def weyl_average(integrand: Integrand, x: int) -> float:

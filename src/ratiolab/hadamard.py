@@ -21,21 +21,26 @@ from .errors import DENSE_LIMIT, CapacityError
 
 @dataclass(frozen=True)
 class SignMatrix:
-    """Square matrix whose entries are all +1 or -1, stored as int64."""
+    """Square matrix of +1 and -1 entries, held as a checked, read-only int64
+    copy, so the caller's array can neither change it later nor be frozen."""
 
-    order: int
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.entries.shape != (self.order, self.order):
-            raise ValueError(
-                f"expected shape ({self.order}, {self.order}), got {self.entries.shape}"
-            )
-        if self.entries.dtype != np.int64:
-            raise ValueError(f"entries must be int64, got {self.entries.dtype}")
-        if not np.all(np.abs(self.entries) == 1):
+        a = np.asarray(self.entries)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square 2-D array, got shape {a.shape}")
+        if not np.issubdtype(a.dtype, np.integer):
+            raise ValueError(f"entries must have an integer dtype, got {a.dtype}")
+        if not np.all((a == 1) | (a == -1)):
             raise ValueError("entries must all be +1 or -1")
-        self.entries.flags.writeable = False
+        a = a.astype(np.int64)  # a copy, even when a is int64 already
+        a.flags.writeable = False
+        object.__setattr__(self, "entries", a)
+
+    @property
+    def order(self) -> int:
+        return self.entries.shape[0]
 
 
 class Verdict(enum.Enum):
@@ -45,23 +50,33 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class OscillationReport:
+    """Last-two-rows mismatch count of an order-n sign matrix.  The verdict
+    is EXCEEDS_HALF only when the bound 2 * mismatch_count / n is strictly
+    above 1/2 (decided in integers): order 4 stays visibly INCONCLUSIVE."""
+
     order: int
     mismatch_count: int
-    lower_bound: float
-    verdict: Verdict
+
+    @property
+    def lower_bound(self) -> float:
+        return 2.0 * self.mismatch_count / self.order
+
+    @property
+    def verdict(self) -> Verdict:
+        exceeds = 4 * self.mismatch_count > self.order
+        return Verdict.EXCEEDS_HALF if exceeds else Verdict.INCONCLUSIVE
 
 
 def sylvester(k: int) -> SignMatrix:
     """Order-2^k symmetric Hadamard matrix by the doubling construction."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    order = 2**k
-    if order > DENSE_LIMIT:
-        raise CapacityError(f"order {order} exceeds dense limit {DENSE_LIMIT}")
-    h = np.array([[1]], dtype=np.int64)
+    if k > DENSE_LIMIT.bit_length() - 1:  # checked before a huge 2^k is formed
+        raise CapacityError(f"order 2^{k} exceeds dense limit {DENSE_LIMIT}")
+    h = np.array([[1]], dtype=np.int8)  # SignMatrix's int64 copy is the only large array
     for _ in range(k):
         h = np.block([[h, h], [h, -h]])
-    return SignMatrix(order=order, entries=h)
+    return SignMatrix(h)
 
 
 def is_hadamard(matrix: SignMatrix) -> bool:
@@ -77,15 +92,9 @@ def spectral_sum_sq(matrix: SignMatrix) -> int:
 
 
 def oscillation_bound(matrix: SignMatrix) -> OscillationReport:
-    """Mismatch count of the last two rows and the induced oscillation bound.
-
-    Counts the columns i <= n-1 where rows n-1 and n (1-based) differ in
-    sign; the lower bound is exactly 2 * mismatch_count / n.  The verdict is
-    EXCEEDS_HALF only when the bound is strictly above 1/2 (decided in
-    integer arithmetic), so the borderline order-4 case stays visible as
-    INCONCLUSIVE.  Requires a symmetric input: only symmetric sign matrices
-    can arise as ratio samples of a single function.
-    """
+    """Count the columns i <= n-1 where rows n-1 and n (1-based) differ in
+    sign.  Requires a symmetric input: only symmetric sign matrices can
+    arise as ratio samples of a single function."""
     n = matrix.order
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
@@ -93,12 +102,4 @@ def oscillation_bound(matrix: SignMatrix) -> OscillationReport:
         raise ValueError("oscillation_bound requires a symmetric sign matrix")
     second_last = matrix.entries[n - 2, : n - 1]
     last = matrix.entries[n - 1, : n - 1]
-    mismatch_count = int(np.sum(second_last * last == -1))
-    lower_bound = 2.0 * mismatch_count / n
-    verdict = Verdict.EXCEEDS_HALF if 4 * mismatch_count > n else Verdict.INCONCLUSIVE
-    return OscillationReport(
-        order=n,
-        mismatch_count=mismatch_count,
-        lower_bound=lower_bound,
-        verdict=verdict,
-    )
+    return OscillationReport(order=n, mismatch_count=int(np.sum(second_last * last == -1)))

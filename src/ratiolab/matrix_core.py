@@ -63,19 +63,21 @@ class SampledMatrixSpec:
 
 @dataclass(frozen=True)
 class NormReport:
-    """One row of a norm-convergence experiment.
-
-    ``raw_norm_power`` is sum |a_ij|^m over all n^2 entries, ``normalized``
-    is that value divided by n^2, and ``abs_error`` is the distance of the
-    normalized value from the caller-supplied predicted limit.
-    """
+    """One row of a norm-convergence experiment: ``raw_norm_power`` is
+    sum |a_ij|^m over all n^2 entries, compared with a predicted limit."""
 
     order: int
     exponent: float
     raw_norm_power: float
-    normalized: float
     predicted_limit: float
-    abs_error: float
+
+    @property
+    def normalized(self) -> float:
+        return self.raw_norm_power / (self.order * self.order)
+
+    @property
+    def abs_error(self) -> float:
+        return abs(self.normalized - self.predicted_limit)
 
 
 @dataclass(frozen=True)
@@ -213,17 +215,7 @@ def norm_power(spec: SampledMatrixSpec, m: float) -> float:
 
 def norm_report(spec: SampledMatrixSpec, m: float, predicted: float) -> NormReport:
     """Raw and normalized m-norm power of the matrix against a predicted limit."""
-    raw = norm_power(spec, m)
-    n2 = spec.order * spec.order
-    normalized = raw / n2
-    return NormReport(
-        order=spec.order,
-        exponent=float(m),
-        raw_norm_power=raw,
-        normalized=normalized,
-        predicted_limit=float(predicted),
-        abs_error=abs(normalized - predicted),
-    )
+    return NormReport(spec.order, float(m), norm_power(spec, m), float(predicted))
 
 
 def predict_limit(integrand: Integrand, m: float) -> float:

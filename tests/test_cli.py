@@ -243,6 +243,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("k", ["12", "15000"])
+    def test_hadamard_beyond_dense_limit_exits_one(self, capsys, k):
+        code, out, err = run_cli(capsys, ["hadamard", "--k", k])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "dense limit" in err
+
     def test_unwritable_out_path_exits_one_with_diagnostic(self, capsys, tmp_path):
         target = tmp_path / "missing" / "r.csv"
         code, out, err = run_cli(capsys, ["norm", "--orders", "3", "--out", str(target)])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ from ratiolab.farey import (
     MAX_FAREY_ORDER,
     MAX_SIEVE_LIMIT,
     MAX_WEYL_ORDER,
+    FareySequence,
+    TotientTable,
     coprime_density,
     farey_fractions,
     farey_sequence,
@@ -31,6 +34,11 @@ class TestTotientSieve:
         table = totient_sieve(1)
         assert table.values == (0, 1)
         assert totient_sieve(10).values[10] == 4
+
+    def test_limit_is_derived_from_values(self):
+        assert [f.name for f in fields(TotientTable)] == ["values"]
+        for x in (1, 2, 10, 97):
+            assert totient_sieve(x).limit == x
 
     def test_primes_have_totient_p_minus_one(self):
         values = totient_sieve(50).values
@@ -72,6 +80,10 @@ class TestFareySequence:
         seq = farey_sequence(1)
         assert seq.fractions == ((1, 1),)
         assert seq.count == 1
+
+    def test_count_is_derived_from_fractions(self):
+        assert [f.name for f in fields(FareySequence)] == ["order", "fractions"]
+        assert FareySequence(order=2, fractions=((1, 2), (1, 1))).count == 2
 
     def test_order_three(self):
         assert farey_sequence(3).fractions == ((1, 3), (1, 2), (2, 3), (1, 1))

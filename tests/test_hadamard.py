@@ -1,4 +1,6 @@
 import math
+from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,8 +23,7 @@ from oracles import last_two_rows_mismatches
 
 
 def sign_matrix(rows) -> SignMatrix:
-    entries = np.array(rows, dtype=np.int64)
-    return SignMatrix(order=entries.shape[0], entries=entries)
+    return SignMatrix(np.array(rows, dtype=np.int64))
 
 
 class TestSylvester:
@@ -49,15 +50,49 @@ class TestSylvester:
         with pytest.raises(CapacityError):
             sylvester(12)
 
+    @pytest.mark.parametrize("k", [14000, 15000, 10**5])
+    def test_huge_k_is_a_capacity_error_before_2_to_the_k_is_formed(self, k):
+        # 2^15000 has 4516 digits, past the int-to-str limit of an f-string
+        with pytest.raises(CapacityError, match=f"order 2\\^{k} exceeds dense limit"):
+            sylvester(k)
+
+    def test_largest_dense_order(self):
+        assert sylvester(11).order == 2048
+
 
 class TestSignMatrix:
     def test_rejects_non_sign_entries(self):
-        with pytest.raises(ValueError):
-            SignMatrix(order=2, entries=np.array([[1, 0], [0, 1]], dtype=np.int64))
+        with pytest.raises(ValueError, match="\\+1 or -1"):
+            SignMatrix(np.array([[1, 0], [0, 1]], dtype=np.int64))
 
     def test_rejects_wrong_dtype(self):
-        with pytest.raises(ValueError):
-            SignMatrix(order=1, entries=np.array([[1.0]]))
+        with pytest.raises(ValueError, match="integer dtype"):
+            SignMatrix(np.array([[1.0]]))
+
+    @pytest.mark.parametrize(
+        "entries", [np.array([1, -1]), np.ones((2, 3), dtype=np.int64)], ids=["1-d", "rectangular"]
+    )
+    def test_rejects_non_square(self, entries):
+        with pytest.raises(ValueError, match="square"):
+            SignMatrix(entries)
+
+    def test_order_is_derived_from_entries(self):
+        assert [f.name for f in fields(SignMatrix)] == ["entries"]
+        assert SignMatrix(np.ones((3, 3), dtype=np.int64)).order == 3
+
+    def test_keeps_a_private_int64_copy(self):
+        source = np.array([[1, 1], [1, -1]])
+        matrix = SignMatrix(source)
+        assert source.flags.writeable
+        source.flags.writeable = True
+        source[1, 1] = 1
+        assert is_hadamard(matrix)
+        np.testing.assert_array_equal(matrix.entries, [[1, 1], [1, -1]])
+
+    def test_stores_int8_input_as_int64(self):
+        matrix = SignMatrix(np.array([[1, -1], [-1, 1]], dtype=np.int8))
+        assert matrix.entries.dtype == np.int64
+        np.testing.assert_array_equal(matrix.entries, [[1, -1], [-1, 1]])
 
     def test_entries_frozen(self):
         matrix = sylvester(2)
@@ -76,7 +111,7 @@ class TestIsHadamard:
     def test_single_flipped_entry_breaks_orthogonality(self):
         entries = sylvester(5).entries.copy()
         entries[3, 17] = -entries[3, 17]
-        flipped = SignMatrix(order=32, entries=entries)
+        flipped = SignMatrix(entries)
         gram = flipped.entries @ flipped.entries.T
         assert not np.array_equal(gram, 32 * np.eye(32, dtype=np.int64))
         assert not is_hadamard(flipped)
@@ -87,7 +122,7 @@ class TestIsHadamard:
         signs = rng.choice([-1, 1], size=16).astype(np.int64)
         perm = rng.permutation(16)
         transformed = (signs[:, None] * matrix.entries)[np.ix_(perm, perm)]
-        assert is_hadamard(SignMatrix(order=16, entries=transformed))
+        assert is_hadamard(SignMatrix(transformed))
 
 
 class TestSpectralSumSq:
@@ -109,7 +144,7 @@ class TestSpectralSumSq:
             st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)
         )
         entries = (2 * np.array(bits, dtype=np.int64) - 1).reshape(n, n)
-        assert spectral_sum_sq(SignMatrix(order=n, entries=entries)) == n * n
+        assert spectral_sum_sq(SignMatrix(entries)) == n * n
 
 
 class TestOscillationBound:
@@ -158,3 +193,12 @@ class TestOscillationBound:
         report = oscillation_bound(sylvester(2))
         assert isinstance(report, OscillationReport)
         assert report.order == 4
+        assert [f.name for f in fields(OscillationReport)] == ["order", "mismatch_count"]
+
+    def test_bound_and_verdict_derive_from_the_count(self):
+        for order in range(2, 40):
+            for mismatch_count in range(order):
+                report = OscillationReport(order=order, mismatch_count=mismatch_count)
+                assert report.lower_bound == 2.0 * mismatch_count / order
+                exceeds = Fraction(2 * mismatch_count, order) > Fraction(1, 2)
+                assert (report.verdict is Verdict.EXCEEDS_HALF) == exceeds

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 from functools import lru_cache
 
 import numpy as np
@@ -14,6 +15,7 @@ from ratiolab.matrix_core import (
     SUM_BLOCK,
     CesaroInput,
     Integrand,
+    NormReport,
     SampledMatrixSpec,
     convergence_table,
     exact_parts,
@@ -238,6 +240,13 @@ class TestNormReport:
         assert report.normalized == pytest.approx((2 * E + 2 * math.sqrt(E)) / 4, abs=1e-12)
         assert report.abs_error == abs(report.normalized - report.predicted_limit)
         assert report.abs_error == pytest.approx(0.4652, abs=5e-4)
+
+    def test_stores_only_its_inputs(self):
+        names = [f.name for f in fields(NormReport)]
+        assert names == ["order", "exponent", "raw_norm_power", "predicted_limit"]
+        report = NormReport(order=3, exponent=1.0, raw_norm_power=4.5, predicted_limit=0.25)
+        assert report.normalized == 0.5
+        assert report.abs_error == 0.25
 
     @pytest.mark.parametrize(
         "m,predicted",
