@@ -20,7 +20,6 @@ from .farey import (
     FareySequence,
     TotientTable,
     coprime_density,
-    farey_fractions,
     farey_sequence,
     phi_summatory,
     totient_sieve,
@@ -36,7 +35,6 @@ from .hadamard import (
     sylvester,
 )
 from .matrix_core import (
-    CesaroInput,
     Integrand,
     NormReport,
     SampledMatrixSpec,
@@ -58,15 +56,13 @@ from .specfun import (
     gamma_row_log_product,
     gamma_row_log_product_closed,
     ln_gamma,
-    sine_product_even_residual,
-    sine_product_odd_residual,
+    sine_product_residual,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "CesaroInput",
     "ConvergenceError",
     "DenseSymmetric",
     "EigenDecomposition",
@@ -87,7 +83,6 @@ __all__ = [
     "euler_reflection_residual",
     "exact_parts",
     "exact_sum",
-    "farey_fractions",
     "farey_sequence",
     "gamma_integral_closed_partial",
     "gamma_integral_via_matrix",
@@ -104,8 +99,7 @@ __all__ = [
     "phi_summatory",
     "predict_limit",
     "sample_row",
-    "sine_product_even_residual",
-    "sine_product_odd_residual",
+    "sine_product_residual",
     "spectral_sum_report",
     "spectral_sum_sq",
     "sylvester",

@@ -127,13 +127,13 @@ GAMMA_MODES = {
     "sine-odd": _Sweep(
         "orders",
         _list(_at_least(1)),
-        lambda n: {"n": n, "order": 2 * n + 1, "residual": specfun.sine_product_odd_residual(n)},
+        lambda n: {"n": n, "order": 2 * n + 1, "residual": specfun.sine_product_residual(2 * n + 1)},
         (1, 2, 50, 200),
     ),
     "sine-even": _Sweep(
         "orders",
         _list(_at_least(1)),
-        lambda n: {"n": n, "order": 2 * n, "residual": specfun.sine_product_even_residual(n)},
+        lambda n: {"n": n, "order": 2 * n, "residual": specfun.sine_product_residual(2 * n)},
         (1, 2, 50, 200),
     ),
     "reflection": _Sweep(

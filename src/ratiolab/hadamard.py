@@ -81,9 +81,11 @@ def sylvester(k: int) -> SignMatrix:
 
 def is_hadamard(matrix: SignMatrix) -> bool:
     """True iff M M^T = n I exactly (all rows pairwise orthogonal)."""
-    # int64 row dot products are bounded by the order, far from overflow
-    gram = matrix.entries @ matrix.entries.T
-    return bool(np.array_equal(gram, matrix.order * np.eye(matrix.order, dtype=np.int64)))
+    # A float32 BLAS product is exact here: every partial dot product is an
+    # integer of magnitude <= order <= 2048 < 2^24, so any summation order
+    # gives the same Gram matrix as exact integer arithmetic.
+    e = matrix.entries.astype(np.float32)
+    return bool(np.array_equal(e @ e.T, matrix.order * np.eye(matrix.order, dtype=np.float32)))
 
 
 def spectral_sum_sq(matrix: SignMatrix) -> int:

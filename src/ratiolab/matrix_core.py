@@ -80,19 +80,6 @@ class NormReport:
         return abs(self.normalized - self.predicted_limit)
 
 
-@dataclass(frozen=True)
-class CesaroInput:
-    """A finite real sequence a_1..a_n together with its claimed limit b."""
-
-    terms: Sequence[float]
-    claimed_limit: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(float(t) for t in self.terms))
-        if not self.terms:
-            raise ValueError("terms must be nonempty")
-
-
 def exact_parts(x: np.ndarray) -> list[float]:
     """Floats whose exact sum is exactly the sum of the values in x.
 
@@ -286,12 +273,14 @@ def predict_limit(integrand: Integrand, m: float) -> float:
     return _exact_total(accepted)
 
 
-def weighted_cesaro(data: CesaroInput) -> float:
+def weighted_cesaro(terms: Sequence[float]) -> float:
     """(a_1 + 2*a_2 + ... + n*a_n) / n^2.
 
     For sequences with a_k -> b this weighted mean approaches b/2.
     """
-    terms = data.terms
+    terms = [float(t) for t in terms]
+    if not terms:
+        raise ValueError("terms must be nonempty")
     if not all(math.isfinite(t) for t in terms):
         raise ValueError("terms must all be finite")
     n = len(terms)

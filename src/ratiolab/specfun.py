@@ -97,24 +97,15 @@ def duplication_residual(z: float) -> float:
     )
 
 
-def sine_product_odd_residual(n: int) -> float:
-    """(2n+1) - 2^(2n) * prod_{k=1..n} sin^2(k pi / (2n+1)).
+def sine_product_residual(k: int) -> float:
+    """k - 2^(k-1) * prod_{j=1..floor(k/2)} sin^2(j pi / k), for k >= 2.
 
-    The product is accumulated in log space; the plain product underflows
-    past n of roughly 250 in double precision.
+    The product is accumulated in log space: in double precision the plain
+    product underflows, and 2^(k-1) overflows, past k of about 1024.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    order = 2 * n + 1
-    return order - math.exp((order - 1) * LN_2 + 2.0 * sine_half_product_log(order))
-
-
-def sine_product_even_residual(n: int) -> float:
-    """2n - 2^(2n-1) * prod_{k=1..n} sin^2(k pi / (2n)), in log space."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    order = 2 * n
-    return order - math.exp((order - 1) * LN_2 + 2.0 * sine_half_product_log(order))
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    return k - math.exp((k - 1) * LN_2 + 2.0 * sine_half_product_log(k))
 
 
 def sine_half_product_log(k: int) -> float:

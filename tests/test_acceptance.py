@@ -14,7 +14,7 @@ from ratiolab.eigen import jacobi_eigenvalues, materialize, spectral_sum_report
 from ratiolab.farey import coprime_density, farey_sequence, phi_summatory, weyl_average
 from ratiolab.hadamard import Verdict, is_hadamard, oscillation_bound, spectral_sum_sq, sylvester
 from ratiolab.integrands import EXP
-from ratiolab.matrix_core import CesaroInput, SampledMatrixSpec, norm_report, norm_power, weighted_cesaro
+from ratiolab.matrix_core import SampledMatrixSpec, norm_report, norm_power, weighted_cesaro
 from ratiolab.specfun import (
     duplication_residual,
     euler_reflection_residual,
@@ -22,8 +22,7 @@ from ratiolab.specfun import (
     gamma_integral_via_matrix,
     gamma_row_log_product,
     gamma_row_log_product_closed,
-    sine_product_even_residual,
-    sine_product_odd_residual,
+    sine_product_residual,
 )
 
 from oracles import brute_farey, exp_row_mean
@@ -77,7 +76,7 @@ def test_criterion_2_norm_limit_m2_m3():
 def test_criterion_3_weighted_cesaro_claim():
     n = 500
     terms = [exp_row_mean(k) for k in range(1, n + 1)]
-    value = weighted_cesaro(CesaroInput(terms, E - 1))
+    value = weighted_cesaro(terms)
     err = abs(value - (E - 1) / 2)
     _verdict(
         "criterion 3 (weighted Cesaro)",
@@ -113,8 +112,8 @@ def test_criterion_5_identity_suite():
     )
     sine = max(
         max(
-            abs(sine_product_odd_residual(n)) / (2 * n + 1),
-            abs(sine_product_even_residual(n)) / (2 * n),
+            abs(sine_product_residual(2 * n + 1)) / (2 * n + 1),
+            abs(sine_product_residual(2 * n)) / (2 * n),
         )
         for n in range(1, 201)
     )
@@ -134,12 +133,13 @@ def test_criterion_5_identity_suite():
 
 def test_criterion_6_farey_structure():
     brute_ok = all(
-        list(farey_sequence(x).fractions) == brute_farey(x) for x in range(1, 101)
+        farey_sequence(x).fractions.tolist() == [list(p) for p in brute_farey(x)]
+        for x in range(1, 101)
     )
     neighbor_ok = True
     for x in range(1, 301):
         previous = None
-        for b, c in farey_sequence(x).fractions:
+        for b, c in farey_sequence(x).fractions.tolist():
             if previous is not None and b * previous[1] - previous[0] * c != 1:
                 neighbor_ok = False
             previous = (b, c)
@@ -148,7 +148,7 @@ def test_criterion_6_farey_structure():
     mean_ok = True
     for x in range(1, 201):
         seq = farey_sequence(x)
-        total = sum(Fraction(b, c) for b, c in seq.fractions)
+        total = sum(Fraction(b, c) for b, c in seq.fractions.tolist())
         if total / seq.count != Fraction(seq.count + 1, 2 * seq.count):
             mean_ok = False
     ok = (

@@ -90,6 +90,11 @@ class TestHadamardCommand:
         assert code == 0
         assert all(row["is_hadamard"] == "true" for row in parse_csv(out))
 
+    def test_orthogonality_at_the_dense_limit(self, capsys):
+        code, out, _ = run_cli(capsys, ["hadamard", "--k", "11", "--check", "orthogonality"])
+        assert code == 0
+        assert out == "k,order,is_hadamard\n11,2048,true\n"
+
     def test_oscillation_verdicts(self, capsys):
         code, out, _ = run_cli(capsys, ["hadamard", "--k", "2,3", "--check", "oscillation"])
         assert code == 0

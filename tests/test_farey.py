@@ -15,7 +15,6 @@ from ratiolab.farey import (
     FareySequence,
     TotientTable,
     coprime_density,
-    farey_fractions,
     farey_sequence,
     phi_summatory,
     totient_sieve,
@@ -27,6 +26,10 @@ from ratiolab.matrix_core import Integrand
 from oracles import brute_farey, coprime_pair_count, totient_direct
 
 E = math.e
+
+
+def pairs(sequence: FareySequence) -> list[tuple[int, int]]:
+    return [(b, c) for b, c in sequence.fractions.tolist()]
 
 
 class TestTotientSieve:
@@ -78,7 +81,7 @@ class TestPhiSummatory:
 class TestFareySequence:
     def test_order_one(self):
         seq = farey_sequence(1)
-        assert seq.fractions == ((1, 1),)
+        assert seq.fractions.tolist() == [[1, 1]]
         assert seq.count == 1
 
     def test_count_is_derived_from_fractions(self):
@@ -86,17 +89,17 @@ class TestFareySequence:
         assert FareySequence(order=2, fractions=((1, 2), (1, 1))).count == 2
 
     def test_order_three(self):
-        assert farey_sequence(3).fractions == ((1, 3), (1, 2), (2, 3), (1, 1))
+        assert farey_sequence(3).fractions.tolist() == [[1, 3], [1, 2], [2, 3], [1, 1]]
 
     def test_order_five_endpoints_and_count(self):
         seq = farey_sequence(5)
         assert seq.count == 10
-        assert seq.fractions[0] == (1, 5)
-        assert seq.fractions[-1] == (1, 1)
+        assert seq.fractions[0].tolist() == [1, 5]
+        assert seq.fractions[-1].tolist() == [1, 1]
 
     def test_matches_bruteforce_enumeration(self):
         for x in range(1, 41):
-            assert list(farey_sequence(x).fractions) == brute_farey(x)
+            assert pairs(farey_sequence(x)) == brute_farey(x)
 
     def test_count_matches_phi_summatory(self):
         for x in range(1, 151):
@@ -106,17 +109,51 @@ class TestFareySequence:
     @settings(max_examples=40, deadline=None)
     def test_neighbor_determinant_property(self, x):
         previous = None
-        for b, c in farey_fractions(x):
+        for b, c in pairs(farey_sequence(x)):
             assert 0 < b <= c <= x
             assert math.gcd(b, c) == 1
             if previous is not None:
                 assert b * previous[1] - previous[0] * c == 1
             previous = (b, c)
 
+    def test_neighbor_determinants_vectorized(self):
+        # exact int64 determinants check the float b/c sort independently of
+        # brute_farey, which sorts by b/c as well
+        fractions = farey_sequence(2000).fractions
+        b, c = fractions[:, 0], fractions[:, 1]
+        assert np.all(b[1:] * c[:-1] - b[:-1] * c[1:] == 1)
+        assert fractions.shape[0] == phi_summatory(2000)
+
+    def test_keeps_a_private_int64_copy(self):
+        source = np.array([[1, 2], [1, 1]])
+        seq = FareySequence(order=2, fractions=source)
+        assert source.flags.writeable
+        source[0, 0] = 2
+        assert seq.fractions.dtype == np.int64
+        np.testing.assert_array_equal(seq.fractions, [[1, 2], [1, 1]])
+
+    def test_fractions_frozen(self):
+        seq = farey_sequence(5)
+        with pytest.raises(ValueError):
+            seq.fractions[0, 0] = 2
+
+    @pytest.mark.parametrize(
+        "fractions",
+        [np.array([1, 2]), np.ones((2, 3), dtype=np.int64), np.ones((1, 2, 2), dtype=np.int64)],
+        ids=["1-d", "three-columns", "3-d"],
+    )
+    def test_rejects_wrong_shape(self, fractions):
+        with pytest.raises(ValueError, match="\\(count, 2\\)"):
+            FareySequence(order=2, fractions=fractions)
+
+    def test_rejects_wrong_dtype(self):
+        with pytest.raises(ValueError, match="integer dtype"):
+            FareySequence(order=2, fractions=np.array([[0.5, 1.0]]))
+
     def test_mean_is_closed_form_in_exact_arithmetic(self):
         for x in (1, 2, 3, 5, 17, 50, 120):
             seq = farey_sequence(x)
-            total = sum(Fraction(b, c) for b, c in seq.fractions)
+            total = sum(Fraction(b, c) for b, c in pairs(seq))
             assert total / seq.count == Fraction(seq.count + 1, 2 * seq.count)
 
     def test_validation(self):
@@ -143,7 +180,7 @@ class TestWeylAverage:
         x = 500
         sequence = farey_sequence(x)
         materialized = (
-            math.fsum(float(EXP.eval(b / c)) for b, c in sequence.fractions)
+            math.fsum(float(EXP.eval(b / c)) for b, c in pairs(sequence))
             / sequence.count
         )
         assert weyl_average(EXP, x).hex() == materialized.hex()
@@ -154,7 +191,7 @@ class TestWeylAverage:
         integrand = PRESETS[name]
         sequence = farey_sequence(x)
         materialized = (
-            math.fsum(float(integrand.eval(b / c)) for b, c in sequence.fractions)
+            math.fsum(float(integrand.eval(b / c)) for b, c in pairs(sequence))
             / sequence.count
         )
         assert weyl_average(integrand, x).hex() == materialized.hex()

@@ -116,6 +116,13 @@ class TestIsHadamard:
         assert not np.array_equal(gram, 32 * np.eye(32, dtype=np.int64))
         assert not is_hadamard(flipped)
 
+    def test_largest_dense_order(self):
+        matrix = sylvester(11)
+        assert is_hadamard(matrix)
+        entries = matrix.entries.copy()
+        entries[2047, 1024] = -entries[2047, 1024]
+        assert not is_hadamard(SignMatrix(entries))
+
     def test_invariant_under_row_negation_and_permutation(self):
         rng = np.random.default_rng(7)
         matrix = sylvester(4)

@@ -13,7 +13,6 @@ from ratiolab.integrands import CONST1, EXP, IDENTITY, LNGAMMA, PRESETS
 from ratiolab.matrix_core import (
     OPEN_LEFT_EDGE,
     SUM_BLOCK,
-    CesaroInput,
     Integrand,
     NormReport,
     SampledMatrixSpec,
@@ -307,17 +306,17 @@ class TestPredictLimit:
 
 class TestWeightedCesaro:
     def test_constant_ten_terms(self):
-        assert weighted_cesaro(CesaroInput([1.0] * 10, 1.0)) == pytest.approx(0.55, abs=1e-15)
+        assert weighted_cesaro([1.0] * 10) == pytest.approx(0.55, abs=1e-15)
 
     def test_constant_thousand_terms_near_half(self):
-        value = weighted_cesaro(CesaroInput([1.0] * 1000, 1.0))
+        value = weighted_cesaro([1.0] * 1000)
         assert value == pytest.approx(0.5005, abs=1e-12)
         assert abs(value - 0.5) <= 1e-3
 
     def test_exp_row_means_approach_half_limit(self):
         n = 500
         terms = [exp_row_mean(k) for k in range(1, n + 1)]
-        value = weighted_cesaro(CesaroInput(terms, E - 1))
+        value = weighted_cesaro(terms)
         assert value == pytest.approx(naive_weighted_sum(terms) / n**2, rel=1e-12)
         assert abs(value - (E - 1) / 2) <= 0.01
 
@@ -327,17 +326,17 @@ class TestWeightedCesaro:
     )
     @settings(max_examples=60)
     def test_constant_sequence_closed_form(self, c, n):
-        value = weighted_cesaro(CesaroInput([c] * n, c))
+        value = weighted_cesaro([c] * n)
         expected = c * (n + 1) / (2 * n)
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_empty_terms_rejected(self):
         with pytest.raises(ValueError):
-            CesaroInput([], 0.0)
+            weighted_cesaro([])
 
     def test_non_finite_terms_rejected(self):
         with pytest.raises(ValueError):
-            weighted_cesaro(CesaroInput([1.0, math.inf], 1.0))
+            weighted_cesaro([1.0, math.inf])
 
 
 class TestConvergenceTable:

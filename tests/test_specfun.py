@@ -14,8 +14,7 @@ from ratiolab.specfun import (
     gamma_row_log_product_closed,
     ln_gamma,
     sine_half_product_log,
-    sine_product_even_residual,
-    sine_product_odd_residual,
+    sine_product_residual,
 )
 
 mpmath.mp.dps = 50
@@ -97,20 +96,20 @@ class TestDuplication:
 class TestSineProducts:
     def test_odd_exact_at_one(self):
         # 3 = 4 sin^2(pi/3) = 4 * (3/4)
-        assert abs(sine_product_odd_residual(1)) <= 1e-12
+        assert abs(sine_product_residual(3)) <= 1e-12
 
     def test_even_exact_at_small_orders(self):
-        assert abs(sine_product_even_residual(1)) <= 1e-12
-        assert abs(sine_product_even_residual(2)) <= 1e-12
+        assert abs(sine_product_residual(2)) <= 1e-12
+        assert abs(sine_product_residual(4)) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 50])
     def test_odd_residual_scaled_bound(self, n):
-        assert abs(sine_product_odd_residual(n)) <= 1e-10 * (2 * n + 1)
+        assert abs(sine_product_residual(2 * n + 1)) <= 1e-10 * (2 * n + 1)
 
     def test_full_range_both_parities(self):
         for n in range(1, 201):
-            assert abs(sine_product_odd_residual(n)) <= 1e-10 * (2 * n + 1)
-            assert abs(sine_product_even_residual(n)) <= 1e-10 * (2 * n)
+            assert abs(sine_product_residual(2 * n + 1)) <= 1e-10 * (2 * n + 1)
+            assert abs(sine_product_residual(2 * n)) <= 1e-10 * (2 * n)
 
     def test_half_product_closed_form(self):
         # prod_{j<=k/2} sin(j pi / k) = sqrt(k) / sqrt(2)^(k-1), both parities
@@ -121,9 +120,9 @@ class TestSineProducts:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sine_product_odd_residual(0)
+            sine_product_residual(1)
         with pytest.raises(ValueError):
-            sine_product_even_residual(0)
+            sine_product_residual(0)
         with pytest.raises(ValueError):
             sine_half_product_log(1)
 
