@@ -21,7 +21,8 @@ from .errors import DENSE_LIMIT, MAX_JACOBI_ORDER, CapacityError, ConvergenceErr
 from .matrix_core import Integrand, SampledMatrixSpec, exact_sum, sample_row
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_SWEEPS = 64
+#: Sweeps jacobi_eigenvalues runs before it raises ConvergenceError.
+MAX_SWEEPS = 64
 
 
 @dataclass(frozen=True)
@@ -114,11 +115,7 @@ def _pair_rotations(b: np.ndarray) -> np.ndarray:
     return np.stack((c, -s, s, c), axis=-1).reshape(-1, 2, 2)
 
 
-def jacobi_eigenvalues(
-    matrix: DenseSymmetric,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> EigenDecomposition:
+def jacobi_eigenvalues(matrix: DenseSymmetric, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     """Eigenvalues of a dense symmetric matrix by round-robin Jacobi rotations.
 
     Each step rotates n/2 disjoint pairs at once, as batched 2x2 products on
@@ -130,14 +127,12 @@ def jacobi_eigenvalues(
 
     Sweeps run until the off-diagonal Frobenius norm drops to tol times the
     initial Frobenius norm of the whole matrix; raises ConvergenceError
-    (carrying the residual) if max_sweeps is exhausted first, and
+    (carrying the residual) if MAX_SWEEPS are exhausted first, and
     CapacityError above MAX_JACOBI_ORDER.  Eigenvalues are returned
     ascending.  Operates on a private working copy.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if max_sweeps < 0:
-        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     n = matrix.order
     if n > MAX_JACOBI_ORDER:
         raise CapacityError(f"order {n} exceeds Jacobi limit {MAX_JACOBI_ORDER}")
@@ -149,9 +144,9 @@ def jacobi_eigenvalues(
     threshold = tol * math.sqrt(float(np.sum(b * b)))
     sweeps = 0
     while (residual := _off_diag_frobenius(b)) > threshold:
-        if sweeps >= max_sweeps:
+        if sweeps >= MAX_SWEEPS:
             raise ConvergenceError(
-                f"Jacobi did not converge in {max_sweeps} sweeps "
+                f"Jacobi did not converge in {MAX_SWEEPS} sweeps "
                 f"(off-diagonal residual {residual:.3e}, threshold {threshold:.3e})",
                 residual=residual,
             )

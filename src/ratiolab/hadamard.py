@@ -21,7 +21,7 @@ from .errors import DENSE_LIMIT, CapacityError
 
 @dataclass(frozen=True)
 class SignMatrix:
-    """Square matrix of +1 and -1 entries, held as a checked, read-only int64
+    """Square matrix of +1 and -1 entries, held as a checked, read-only int8
     copy, so the caller's array can neither change it later nor be frozen."""
 
     entries: np.ndarray
@@ -32,9 +32,9 @@ class SignMatrix:
             raise ValueError(f"expected a square 2-D array, got shape {a.shape}")
         if not np.issubdtype(a.dtype, np.integer):
             raise ValueError(f"entries must have an integer dtype, got {a.dtype}")
-        if not np.all((a == 1) | (a == -1)):
+        if not np.all((a == 1) | (a == -1)):  # before the cast, which wraps 257 to 1
             raise ValueError("entries must all be +1 or -1")
-        a = a.astype(np.int64)  # a copy, even when a is int64 already
+        a = a.astype(np.int8)  # a copy, even when a is int8 already
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
@@ -73,7 +73,7 @@ def sylvester(k: int) -> SignMatrix:
         raise ValueError(f"k must be >= 0, got {k}")
     if k > DENSE_LIMIT.bit_length() - 1:  # checked before a huge 2^k is formed
         raise CapacityError(f"order 2^{k} exceeds dense limit {DENSE_LIMIT}")
-    h = np.array([[1]], dtype=np.int8)  # SignMatrix's int64 copy is the only large array
+    h = np.array([[1]], dtype=np.int8)
     for _ in range(k):
         h = np.block([[h, h], [h, -h]])
     return SignMatrix(h)

@@ -46,6 +46,53 @@ def totient_direct(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
+def linear_totients(limit: int) -> list[int]:
+    """phi(n) for 0 <= n <= limit (phi[0] = 0) by a linear sieve: each
+    composite is struck once, from its least prime factor."""
+    phi = [0] * (limit + 1)
+    phi[1] = 1
+    is_composite = bytearray(limit + 1)
+    primes: list[int] = []
+    for i in range(2, limit + 1):
+        if not is_composite[i]:
+            primes.append(i)
+            phi[i] = i - 1
+        for p in primes:
+            ip = i * p
+            if ip > limit:
+                break
+            is_composite[ip] = 1
+            if i % p == 0:
+                phi[ip] = phi[i] * p
+                break
+            phi[ip] = phi[i] * (p - 1)
+    return phi
+
+
+def mobius(limit: int) -> list[int]:
+    """mu(n) for 0 <= n <= limit (mu[0] unused) by a plain prime-marking loop."""
+    mu = [1] * (limit + 1)
+    is_composite = bytearray(limit + 1)
+    for p in range(2, limit + 1):
+        if is_composite[p]:
+            continue
+        is_composite[p * p :: p] = b"\x01" * len(range(p * p, limit + 1, p))
+        for multiple in range(p, limit + 1, p):
+            mu[multiple] = -mu[multiple]
+        for multiple in range(p * p, limit + 1, p * p):
+            mu[multiple] = 0
+    return mu
+
+
+def phi_by_mobius(x: int, mu: list[int]) -> int:
+    """Phi(x) = (1 + sum_{d<=x} mu(d) floor(x/d)^2) / 2, with mu from mobius(limit >= x).
+
+    Counts the coprime pairs in [1, x]^2 by Moebius inversion, without any
+    totient: there are 2 Phi(x) - 1 of them.
+    """
+    return (1 + sum(mu[d] * (x // d) ** 2 for d in range(1, x + 1))) // 2
+
+
 def coprime_pair_count(n: int) -> int:
     """Exhaustive gcd double loop over [1, n]^2."""
     return sum(

@@ -6,6 +6,7 @@ import pytest
 from ratiolab.cli import main
 from ratiolab.errors import MAX_JACOBI_ORDER
 from ratiolab.farey import MAX_FAREY_ORDER
+from ratiolab.matrix_core import MAX_NORM_ORDER
 
 
 def run_cli(capsys, argv):
@@ -247,6 +248,21 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norm", "--orders", f"4,{MAX_NORM_ORDER + 1}"],
+            ["gamma", "--mode", "integral", "--orders", str(MAX_NORM_ORDER + 1)],
+        ],
+        ids=["norm", "gamma-integral"],
+    )
+    def test_beyond_norm_budget_exits_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert f"exceeds budget {MAX_NORM_ORDER}" in err
 
     @pytest.mark.parametrize("k", ["12", "15000"])
     def test_hadamard_beyond_dense_limit_exits_one(self, capsys, k):

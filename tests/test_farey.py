@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
@@ -23,9 +24,21 @@ from ratiolab.farey import (
 from ratiolab.integrands import CONST1, EXP, IDENTITY, PRESETS
 from ratiolab.matrix_core import Integrand
 
-from oracles import brute_farey, coprime_pair_count, totient_direct
+from oracles import (
+    brute_farey,
+    coprime_pair_count,
+    linear_totients,
+    mobius,
+    phi_by_mobius,
+    totient_direct,
+)
 
 E = math.e
+
+
+@pytest.fixture(scope="module")
+def mobius_table() -> list[int]:
+    return mobius(MAX_SIEVE_LIMIT)
 
 
 def pairs(sequence: FareySequence) -> list[tuple[int, int]]:
@@ -35,7 +48,7 @@ def pairs(sequence: FareySequence) -> list[tuple[int, int]]:
 class TestTotientSieve:
     def test_base_cases(self):
         table = totient_sieve(1)
-        assert table.values == (0, 1)
+        assert table.values.tolist() == [0, 1]
         assert totient_sieve(10).values[10] == 4
 
     def test_limit_is_derived_from_values(self):
@@ -53,10 +66,34 @@ class TestTotientSieve:
         for n in range(1, 101):
             assert values[n] == totient_direct(n)
 
+    @pytest.mark.parametrize("x", [1, 2, 3, 4, 10, 1000, 99991, 10**6])
+    def test_matches_linear_sieve(self, x):
+        assert totient_sieve(x).values.tolist() == linear_totients(x)
+
     def test_divisor_sum_identity(self):
         values = totient_sieve(200).values
         for n in range(1, 201):
             assert sum(values[d] for d in range(1, n + 1) if n % d == 0) == n
+
+    def test_keeps_a_private_int64_copy(self):
+        source = np.array([0, 1, 1, 2], dtype=np.int32)
+        table = TotientTable(source)
+        source[3] = 5
+        assert table.values.dtype == np.int64
+        assert table.values.tolist() == [0, 1, 1, 2]
+
+    def test_values_frozen(self):
+        table = totient_sieve(10)
+        with pytest.raises(ValueError):
+            table.values[4] = 3
+
+    def test_rejects_float_values(self):
+        with pytest.raises(ValueError, match="integer dtype"):
+            TotientTable(np.array([0.0, 1.0]))
+
+    def test_rejects_two_dimensional_values(self):
+        with pytest.raises(ValueError, match="1-D"):
+            TotientTable(np.array([[0, 1], [1, 2]]))
 
     def test_validation_and_capacity(self):
         with pytest.raises(ValueError):
@@ -76,6 +113,10 @@ class TestPhiSummatory:
 
     def test_asymptotic_density(self):
         assert abs(phi_summatory(1000) / 1e6 - 3 / math.pi**2) <= 0.005
+
+    @pytest.mark.parametrize("x", [99991, 10**6, MAX_SIEVE_LIMIT])
+    def test_matches_mobius_oracle(self, mobius_table, x):
+        assert phi_summatory(x) == phi_by_mobius(x, mobius_table)
 
 
 class TestFareySequence:
@@ -123,6 +164,16 @@ class TestFareySequence:
         b, c = fractions[:, 0], fractions[:, 1]
         assert np.all(b[1:] * c[:-1] - b[:-1] * c[1:] == 1)
         assert fractions.shape[0] == phi_summatory(2000)
+
+    def test_peak_memory_stays_near_the_result(self):
+        # the gather into one preallocated array peaks at 3x the returned pairs
+        tracemalloc.start()
+        try:
+            seq = farey_sequence(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * seq.fractions.nbytes
 
     def test_keeps_a_private_int64_copy(self):
         source = np.array([[1, 2], [1, 1]])

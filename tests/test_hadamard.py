@@ -80,19 +80,28 @@ class TestSignMatrix:
         assert [f.name for f in fields(SignMatrix)] == ["entries"]
         assert SignMatrix(np.ones((3, 3), dtype=np.int64)).order == 3
 
-    def test_keeps_a_private_int64_copy(self):
+    def test_keeps_a_private_int8_copy(self):
         source = np.array([[1, 1], [1, -1]])
         matrix = SignMatrix(source)
         assert source.flags.writeable
         source.flags.writeable = True
         source[1, 1] = 1
+        assert matrix.entries.dtype == np.int8
         assert is_hadamard(matrix)
         np.testing.assert_array_equal(matrix.entries, [[1, 1], [1, -1]])
 
-    def test_stores_int8_input_as_int64(self):
-        matrix = SignMatrix(np.array([[1, -1], [-1, 1]], dtype=np.int8))
-        assert matrix.entries.dtype == np.int64
+    def test_copies_int8_input(self):
+        source = np.array([[1, -1], [-1, 1]], dtype=np.int8)
+        matrix = SignMatrix(source)
+        assert matrix.entries.dtype == np.int8
+        assert not np.shares_memory(matrix.entries, source)
         np.testing.assert_array_equal(matrix.entries, [[1, -1], [-1, 1]])
+
+    @pytest.mark.parametrize("value", [257, 255, -255])
+    def test_rejects_entries_that_wrap_to_a_sign_in_int8(self, value):
+        # int8 wraps 257 and -255 to 1 and 255 to -1: the check must see the caller's values
+        with pytest.raises(ValueError, match="\\+1 or -1"):
+            SignMatrix(np.array([[value]]))
 
     def test_entries_frozen(self):
         matrix = sylvester(2)

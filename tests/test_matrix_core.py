@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratiolab.errors import EvaluationError, QuadratureError
+from ratiolab.errors import CapacityError, EvaluationError, QuadratureError
 from ratiolab.integrands import CONST1, EXP, IDENTITY, LNGAMMA, PRESETS
 from ratiolab.matrix_core import (
+    MAX_NORM_ORDER,
     OPEN_LEFT_EDGE,
     SUM_BLOCK,
     Integrand,
@@ -213,6 +214,14 @@ class TestNormPower:
         big = Integrand(eval=lambda x: np.full_like(x, value), label="big")
         with pytest.raises(EvaluationError, match=re.escape(f"|big|^{m}")):
             norm_power(SampledMatrixSpec(big, 3), m)
+
+    def test_capacity_limit_raises_before_sampling(self):
+        def unsampled(x):
+            raise AssertionError("a row was sampled")
+
+        spec = SampledMatrixSpec(Integrand(eval=unsampled, label="unsampled"), MAX_NORM_ORDER + 1)
+        with pytest.raises(CapacityError, match=f"norm order {MAX_NORM_ORDER + 1} exceeds budget"):
+            norm_power(spec, 1.0)
 
     def test_full_sum_that_fits_does_not_overflow(self):
         # twice the triangle sum (2e308) overflows, but 2e308 - 1e308 fits
