@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ratiolab.matrix_core import Integrand, SampledMatrixSpec, matrix_entry
 
 
@@ -39,6 +41,12 @@ def brute_farey(x: int) -> list[tuple[int, int]]:
     ]
     pairs.sort(key=lambda bc: bc[0] / bc[1])
     return pairs
+
+
+def coprime_row(c: int) -> np.ndarray:
+    """The numerators 1 <= b <= c with gcd(b, c) = 1, ascending int64, one gcd per b."""
+    b = np.arange(1, c + 1, dtype=np.int64)
+    return b[np.gcd(b, c) == 1]
 
 
 def totient_direct(n: int) -> int:

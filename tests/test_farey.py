@@ -15,6 +15,7 @@ from ratiolab.farey import (
     MAX_WEYL_ORDER,
     FareySequence,
     TotientTable,
+    _coprime_rows,
     coprime_density,
     farey_sequence,
     phi_summatory,
@@ -27,6 +28,7 @@ from ratiolab.matrix_core import Integrand
 from oracles import (
     brute_farey,
     coprime_pair_count,
+    coprime_row,
     linear_totients,
     mobius,
     phi_by_mobius,
@@ -39,6 +41,17 @@ E = math.e
 @pytest.fixture(scope="module")
 def mobius_table() -> list[int]:
     return mobius(MAX_SIEVE_LIMIT)
+
+
+@pytest.fixture(scope="module")
+def linear_table() -> list[int]:
+    return linear_totients(10**6)
+
+
+def around_squares(primes) -> list[int]:
+    """p^2 - 1, p^2 and p^2 + 1 for each p: the orders at which p joins the
+    primes <= sqrt(x) that the sieve and the row walk divide out."""
+    return [n for p in primes for n in (p * p - 1, p * p, p * p + 1)]
 
 
 def pairs(sequence: FareySequence) -> list[tuple[int, int]]:
@@ -66,9 +79,26 @@ class TestTotientSieve:
         for n in range(1, 101):
             assert values[n] == totient_direct(n)
 
-    @pytest.mark.parametrize("x", [1, 2, 3, 4, 10, 1000, 99991, 10**6])
-    def test_matches_linear_sieve(self, x):
+    @pytest.mark.parametrize(
+        "x", sorted({1, 2, 3, 4, 10, 1000, 99991, 10**6, *around_squares((2, 3, 5, 7, 31, 997))})
+    )
+    def test_matches_linear_sieve(self, linear_table, x):
+        assert totient_sieve(x).values.tolist() == linear_table[: x + 1]
+
+    @given(x=st.integers(min_value=1, max_value=5000))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_linear_sieve_property(self, x):
         assert totient_sieve(x).values.tolist() == linear_totients(x)
+
+    def test_peak_memory_stays_near_the_result(self):
+        # phi, the int32 cofactors and one phi[p::p] temporary: 2x the table
+        tracemalloc.start()
+        try:
+            table = totient_sieve(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * table.values.nbytes
 
     def test_divisor_sum_identity(self):
         values = totient_sieve(200).values
@@ -117,6 +147,16 @@ class TestPhiSummatory:
     @pytest.mark.parametrize("x", [99991, 10**6, MAX_SIEVE_LIMIT])
     def test_matches_mobius_oracle(self, mobius_table, x):
         assert phi_summatory(x) == phi_by_mobius(x, mobius_table)
+
+
+class TestCoprimeRows:
+    @pytest.mark.parametrize("x", [*around_squares((2, 3, 7, 31)), 3000])
+    def test_matches_gcd_oracle(self, x):
+        rows = list(_coprime_rows(x))
+        assert [c for c, _ in rows] == list(range(1, x + 1))
+        for c, b in rows:
+            assert b.dtype == np.int64
+            np.testing.assert_array_equal(b, coprime_row(c))
 
 
 class TestFareySequence:
