@@ -28,8 +28,9 @@ QUADRATURE_PANEL_BUDGET = 2**20
 OPEN_LEFT_EDGE = 2.0**-60
 
 _MAX_RECURSION_DEPTH = 80
-#: Most values _exact_total hands to one exact_parts call (a longer chunk is
-#: its own block); 32K keeps the temporaries near 1 MiB, 1M added ~24 MiB RSS.
+#: Most values _exact_total extracts at once (a longer chunk is its own
+#: block).  Its block and scratch buffers, 256 KiB each at 32K, are allocated
+#: once per sum and refilled block after block.
 SUM_BLOCK = 1 << 15
 #: Largest order norm_power accepts: its n(n+1)/2 samples take 2.8 s for exp
 #: and 12.4 s for lngamma at n = 20000 (2-core x86).
@@ -95,11 +96,20 @@ def exact_parts(x: np.ndarray) -> list[float]:
     until nothing is left.  Values too large for sigma, and non-finite
     values, go to the result as they are.  math.fsum of the parts is the
     correctly rounded sum of x, the same bits as math.fsum(x.tolist()).
+    The caller's x is left as it is: the passes run on a float64 copy.
     """
     x = np.array(x, dtype=np.float64).ravel()
+    return _extract(x, np.empty_like(x))
+
+
+def _extract(x: np.ndarray, q: np.ndarray) -> list[float]:
+    """exact_parts of the 1-d float64 array x, computed in place.
+
+    Overwrites x with what is left after the passes, and uses q, of the
+    same size, as scratch.
+    """
     shift = math.ceil(math.log2(x.size + 2))
     limit = math.ldexp(1.0, 1022 - shift)  # sigma + x stays finite below it
-    q = np.empty_like(x)
     parts: list[float] = []
     while x.size:
         top = max(float(x.max()), -float(x.min()))
@@ -158,25 +168,35 @@ def _abs_power(values: np.ndarray, m: float) -> np.ndarray:
 
 
 def _exact_total(chunks: Iterable[np.ndarray]) -> float:
-    """Correctly rounded sum of the values in a nonempty stream of 1-d arrays.
+    """Correctly rounded sum of the values in a stream of 1-d arrays.
 
-    Chunks are gathered into blocks of up to SUM_BLOCK values for
-    exact_parts, so the sum depends neither on order nor on chunking.
-    Returns inf or nan, not an error, if a value or the sum is not finite.
+    Chunks are copied into one block buffer until the next would overflow
+    SUM_BLOCK values; each full block is extracted in place, so a sum of
+    any length allocates its two block-sized buffers once.  A chunk longer
+    than SUM_BLOCK is its own block, through exact_parts.  The caller's
+    chunks are left as they are, and the sum depends neither on order nor
+    on chunking; an empty stream sums to 0.0.  If a value or the sum is not
+    finite the result is inf or nan, not an error: nan where math.fsum of
+    the parts raises (finite parts whose sum overflows, or inf - inf).
     """
     parts: list[float] = []
-    block: list[np.ndarray] = []
+    block = np.empty(SUM_BLOCK)
+    scratch = np.empty(SUM_BLOCK)
     filled = 0
     for chunk in chunks:
-        if filled + chunk.size > SUM_BLOCK and block:
-            parts += exact_parts(np.concatenate(block))
-            block, filled = [], 0
-        block.append(chunk)
-        filled += chunk.size
-    parts += exact_parts(np.concatenate(block))
+        size = chunk.size
+        if filled + size > SUM_BLOCK and filled:
+            parts += _extract(block[:filled], scratch[:filled])
+            filled = 0
+        if size > SUM_BLOCK:
+            parts += exact_parts(chunk)
+        else:
+            block[filled : filled + size] = chunk
+            filled += size
+    parts += _extract(block[:filled], scratch[:filled])
     try:
         return math.fsum(parts)
-    except (OverflowError, ValueError):  # finite parts whose sum overflows, or inf - inf
+    except (OverflowError, ValueError):
         return math.nan
 
 

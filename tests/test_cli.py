@@ -164,6 +164,23 @@ PINNED_OUTPUTS = {
         "n,raw,normalized,predicted,abs_error\n"
         "64,4096,1,1,0\n128,16384,1,1,0\n256,65536,1,1,0\n"
     ),
+    # multi-block sums: these orders stream 2 to 16 blocks of SUM_BLOCK values
+    "norm --f lngamma --m 2 --orders 300,514": (
+        "n,raw,normalized,predicted,abs_error\n"
+        "300,155177.18591762363,1.7241909546402625,1.8663170837935656,0.14212612915330314\n"
+        "514,467400.58772625332,1.7691433168036357,1.8663170837935656,0.097173766989929966\n"
+    ),
+    "norm --f exp --m 3 --orders 1020": (
+        "n,raw,normalized,predicted,abs_error\n"
+        "1020,6624403.4491400337,6.3671697896386332,6.3618456410625557,0.0053241485760775475\n"
+    ),
+    "gamma --mode integral --orders 129,514": (
+        "n,matrix_route,closed_route,abs_diff,rel_diff,limit\n"
+        "129,0.88169267287927278,0.88169267287927267,1.1102230246251565e-16,"
+        "1.2591950220019304e-16,0.91893853320467267\n"
+        "514,0.90693654461739592,0.90693654461739581,1.1102230246251565e-16,"
+        "1.2241463101407168e-16,0.91893853320467267\n"
+    ),
     "farey --f identity --x 5,50,500": (
         "x,phi,average,predicted,abs_error,coprime_density\n"
         "5,10,0.55000000000000004,0.5,0.050000000000000044,0.76000000000000001\n"

@@ -1,13 +1,19 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ratiolab
 from ratiolab.errors import CapacityError, EvaluationError, QuadratureError
 from ratiolab.integrands import CONST1, EXP, IDENTITY, LNGAMMA, PRESETS
 from ratiolab.matrix_core import (
@@ -17,6 +23,7 @@ from ratiolab.matrix_core import (
     Integrand,
     NormReport,
     SampledMatrixSpec,
+    _exact_total,
     convergence_table,
     exact_parts,
     exact_sum,
@@ -104,6 +111,80 @@ class TestExactSum:
         # 1001 values spanning 2^-58..2^58: each pass strips 53 - 10 bits
         x = np.exp(np.linspace(-40.0, 40.0, 1001))
         assert len(exact_parts(x)) <= 5
+
+
+#: Chunk sizes around the block edges, and anything up to two blocks.
+_CHUNK_SIZES = st.one_of(
+    st.sampled_from([0, 1, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1]),
+    st.integers(min_value=0, max_value=2 * SUM_BLOCK),
+)
+
+
+class TestExactTotal:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        sizes=st.lists(_CHUNK_SIZES, max_size=6),
+        special=st.sampled_from([(), (math.inf,), (-math.inf,), (math.nan,), (math.inf, -math.inf)]),
+    )
+    @example(seed=0, sizes=[], special=())
+    @example(seed=1, sizes=[0, 0, 0], special=())
+    @example(seed=2, sizes=[SUM_BLOCK], special=())
+    @example(seed=3, sizes=[SUM_BLOCK - 3, 7, SUM_BLOCK], special=())
+    @example(seed=5, sizes=[1, SUM_BLOCK, SUM_BLOCK - 1, 2], special=())
+    @example(seed=4, sizes=[5, SUM_BLOCK + 1, 0, 9], special=(math.nan,))
+    @settings(max_examples=30, deadline=None)
+    def test_bitwise_fsum_of_concatenation(self, seed, sizes, special):
+        rng = np.random.default_rng(seed)
+        # binary exponents up to 997 (|x| < 1e300): no partial sum of fsum
+        # overflows, so fsum raises only for inf - inf
+        chunks = [np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1100, 997, n)) for n in sizes]
+        filled = [c for c in chunks if c.size]
+        for value in special if filled else ():
+            chunk = filled[rng.integers(len(filled))]
+            chunk[rng.integers(chunk.size)] = value
+        before = [c.copy() for c in chunks]
+        total = _exact_total(iter(chunks))
+        values = np.concatenate(chunks).tolist() if chunks else []
+        try:
+            expected = math.fsum(values)
+        except ValueError:  # inf - inf
+            assert math.isnan(total)
+        else:
+            assert total.hex() == expected.hex()
+        for chunk, copy in zip(chunks, before):
+            np.testing.assert_array_equal(chunk, copy)
+
+    def test_finite_overflow_is_nan(self):
+        # math.fsum raises OverflowError on 2e308; the documented result is nan
+        assert math.isnan(_exact_total([np.array([1e308]), np.array([1e308])]))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts of Linux")
+    def test_blocks_reuse_their_buffers(self):
+        pytest.importorskip("resource")
+        # Order 1024 streams 524,800 values: 16 full blocks and a short one.
+        # Fresh 256 KiB block buffers fault in about 96 pages per block;
+        # buffers allocated once per sum fault in at most 128 per sum.  A
+        # fresh interpreter, because inside a long-lived process even fresh
+        # buffers may come from the allocator's heap and fault in nothing.
+        blocks = 1024 * 1025 // 2 // SUM_BLOCK
+        probe = (
+            "import resource\n"
+            "from ratiolab.integrands import EXP\n"
+            "from ratiolab.matrix_core import SampledMatrixSpec, norm_power\n"
+            "spec = SampledMatrixSpec(EXP, 1024)\n"
+            "norm_power(spec, 1.0)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "norm_power(spec, 1.0)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(ratiolab.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert int(out) < 16 * blocks
 
 
 class TestMatrixEntry:
@@ -266,6 +347,66 @@ class TestNormReport:
             for n in (32, 64, 128)
         ]
         assert errors[0] > errors[1] > errors[2]
+
+
+def _outward(lo: Fraction, hi: Fraction) -> tuple[float, float]:
+    """The floats next outside the exact interval [lo, hi]."""
+    a, b = float(lo), float(hi)
+    return (
+        a if Fraction(a) <= lo else math.nextafter(a, -math.inf),
+        b if Fraction(b) >= hi else math.nextafter(b, math.inf),
+    )
+
+
+class TestConvergenceRate:
+    """The rate of the limit: each row mean is a right Riemann sum, so by
+    Euler-Maclaurin the normalized norm of a smooth f is
+    I_m + (I_m - |f(0)|^m)/n + O(log n / n^2)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_exp_first_order_term(self, m):
+        # g = e^(mx): I_m = (e^m - 1)/m and g(0) = 1.  The next term of the
+        # error is (g'(1) - g'(0)) * H_n / (6 n^2), so the gap below is about
+        # m (e^m - 1) ln n / (6 n) and falls by ln(2n) / (2 ln n) ~ 0.55 per
+        # doubling.  Bounds: at most m (e^m - 1) ln n / (4 n), and at most
+        # 0.6 of the gap at half the order.
+        limit = (E**m - 1) / m
+        gaps = []
+        for n in (1024, 2048, 4096):
+            err = norm_power(SampledMatrixSpec(EXP, n), m) / (n * n) - limit
+            gaps.append(abs(n * err - (limit - 1.0)))
+            assert gaps[-1] <= m * (E**m - 1) * math.log(n) / (4 * n)
+        assert gaps[1] <= 0.6 * gaps[0]
+        assert gaps[2] <= 0.6 * gaps[1]
+
+    @pytest.mark.parametrize("n", [1000, 1024, 2047])
+    def test_identity_is_half_plus_half_over_n(self, n):
+        # the triangle holds sum_k (k + 1)/2 = n(n + 3)/4 exactly, so the
+        # normalized norm is 1/2 + 1/(2n); only the samples j/k are rounded
+        normalized = norm_power(SampledMatrixSpec(IDENTITY, n), 1.0) / (n * n)
+        exact = Fraction(1, 2) + Fraction(1, 2 * n)
+        assert abs(Fraction(normalized) - exact) <= 4 * Fraction(math.ulp(0.5))
+
+    @pytest.mark.parametrize("n", [256, 1024, 2048])
+    def test_lngamma_error_is_minus_log_n_over_n(self, n):
+        # ln Gamma(x) ~ -ln x at 0: row k misses ln(2 pi k)/(2k) of the
+        # integral, so n * err = -ln n + O(1); bound |n err / ln n + 1| <= 0.03
+        err = norm_power(SampledMatrixSpec(LNGAMMA, n), 1.0) / (n * n) - 0.5 * math.log(2 * math.pi)
+        assert abs(n * err / math.log(n) + 1.0) <= 0.03
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("name,m", [("exp", 1), ("exp", 2), ("exp", 3), ("identity", 1), ("identity", 2)])
+    def test_quadrature_inside_monotone_bracket(self, name, m, n):
+        # For increasing g = |f|^m, row k's sum S_k lies in [k I, k I + D]
+        # with D = g(1) - g(0), so the triangle sum T brackets the integral:
+        # (T - n D) / N <= I <= T / N, N = n(n + 1)/2.
+        f = PRESETS[name]
+        g0, g1 = (Fraction(abs(float(f.eval(np.float64(x)))) ** m) for x in (0.0, 1.0))
+        full = Fraction(norm_power(SampledMatrixSpec(f, n), m))
+        triangle = (full + n * g1) / 2  # full = 2 T - n g(1)
+        pairs = Fraction(n * (n + 1), 2)
+        lo, hi = _outward((triangle - n * (g1 - g0)) / pairs, triangle / pairs)
+        assert lo <= predict_limit(f, m) <= hi
 
 
 class TestPredictLimit:
