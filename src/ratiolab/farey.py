@@ -35,8 +35,8 @@ MAX_SIEVE_LIMIT = 2_000_000
 #: Largest order farey_sequence materializes: Phi(5000) = 7.6M int64 pairs (116 MiB) take
 #: about 0.9 s and 390 MiB peak RSS to build in a fresh process (2-core x86).
 MAX_FAREY_ORDER = 5000
-#: Largest order weyl_average accepts: its O(x^2) samples take 2-2.5 s at x = 20000 for
-#: exp, identity and const1, and 8-10 s for lngamma (fresh process, 2-core x86).
+#: Largest order weyl_average accepts: its O(x^2) samples take 1-1.5 s at x = 20000 for
+#: exp, identity and const1, and 5.5-6 s for lngamma (2-core x86).
 MAX_WEYL_ORDER = 20_000
 
 

@@ -32,8 +32,8 @@ _MAX_RECURSION_DEPTH = 80
 #: block).  Its block and scratch buffers, 256 KiB each at 32K, are allocated
 #: once per sum and refilled block after block.
 SUM_BLOCK = 1 << 15
-#: Largest order norm_power accepts: its n(n+1)/2 samples take 2.8 s for exp
-#: and 12.4 s for lngamma at n = 20000 (2-core x86).
+#: Largest order norm_power accepts: its n(n+1)/2 samples take about 1.9 s
+#: for exp and 8-9 s for lngamma at n = 20000 (2-core x86).
 MAX_NORM_ORDER = 20_000
 
 
@@ -144,9 +144,10 @@ def sample_row(integrand: Integrand, k: int) -> np.ndarray:
     Raises EvaluationError naming the offending sample point if the
     integrand returns a non-finite value anywhere in the row.
     """
-    x = np.arange(1, k + 1, dtype=np.float64) / k
+    x = np.arange(1, k + 1, dtype=np.float64)
+    x /= k
     values = np.asarray(integrand.eval(x), dtype=np.float64)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         j = int(np.argmin(np.isfinite(values))) + 1
         raise EvaluationError(
             f"integrand {integrand.label!r} is not finite at {j}/{k}"
@@ -219,8 +220,13 @@ def norm_power(spec: SampledMatrixSpec, m: float) -> float:
         rows = (_abs_power(sample_row(f, k), m) for k in range(1, spec.order + 1))
         first = next(rows)  # row 1 is [|f(1)|^m], every diagonal entry
         triangle = _exact_total(chain([first], rows))
-    # 2 * triangle - n * |f(1)|^m, rounded once; 2 * triangle is never formed
-    total = _exact_total([np.array([triangle, -spec.order * float(first[0]), triangle])])
+    # 2 * triangle - n * |f(1)|^m, rounded once; 2 * triangle is never formed.
+    # The triangle holds the n diagonal terms, so no partial sum exceeds the
+    # result, and fsum raises only where the total is not finite anyway.
+    try:
+        total = math.fsum([triangle, -spec.order * float(first[0]), triangle])
+    except (OverflowError, ValueError):
+        total = math.nan
     if not math.isfinite(total):
         raise EvaluationError(f"sum of |{f.label}|^{m} over order {spec.order} overflows")
     return total

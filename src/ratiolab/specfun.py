@@ -34,6 +34,14 @@ LANCZOS_COEFFICIENTS = (
     1.5056327351493116e-7,
 )
 
+#: Offsets of ln_gamma's one broadcast add, one per row: z + i for the terms
+#: c_i / (z + i), i = 1..8, then z + g and z + 1/2 for the tail.
+_LANCZOS_OFFSETS = np.array(
+    [*range(1, len(LANCZOS_COEFFICIENTS)), LANCZOS_SHIFT, 0.5], dtype=np.float64
+)[:, np.newaxis]
+#: The numerators c_1..c_8, as a column against the first eight offsets.
+_LANCZOS_NUMERATORS = np.array(LANCZOS_COEFFICIENTS[1:])[:, np.newaxis]
+
 LN_2 = math.log(2.0)
 LN_2PI = math.log(2.0 * math.pi)
 LN_SQRT_2PI = 0.5 * LN_2PI
@@ -44,26 +52,52 @@ def ln_gamma(x: np.ndarray) -> np.ndarray:
     """ln Gamma elementwise over positive x, from the fixed Lanczos table.
 
     Vectorized like a numpy ufunc: an array gives an array of the same
-    shape, a float gives a numpy float.  Arguments below 1/2 are routed
-    through the reflection formula Gamma(x) Gamma(1-x) = pi / sin(pi x),
-    which keeps the series argument away from the pole at 0 and preserves
-    accuracy there.
+    shape, a float gives a numpy float; the caller's array is not written.
+    Arguments below 1/2 are routed through the reflection formula
+    Gamma(x) Gamma(1-x) = pi / sin(pi x), which keeps the series argument
+    away from the pole at 0 and preserves accuracy there.
+
+    The input is flattened, so every shape takes the same numpy calls, and
+    the series takes few of them.  One broadcast add forms, in one
+    (10, size) array, z + i for the eight terms c_i / (z + i) and
+    z + g and z + 1/2 for the tail; one broadcast divide turns the first
+    eight rows into the terms.  Every value keeps the bits of the plain
+    per-coefficient loop (ln_gamma_reference in tests/oracles.py), which
+    rules out two shortcuts: the tail argument is (z + g) + 1/2, rounded
+    twice, since z + (g + 1/2) rounds once and differs; and the terms are
+    added to c_0 one row at a time, in coefficient order, since
+    np.add.reduce over the coefficient axis is not sequential for a
+    one-element input.  Peak memory is about 113 bytes per value, the
+    result included.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(x > 0):
+    flat = x.reshape(-1)
+    # nan, 0 and negatives all fail the comparison; an empty x passes
+    if not flat.min(initial=np.inf) > 0:
         raise ValueError("ln_gamma requires all arguments > 0")
-    reflect = x < 0.5
-    xr = np.where(reflect, 1.0 - x, x)
-    z = xr - 1.0
-    s = np.full_like(z, LANCZOS_COEFFICIENTS[0])
-    for i, c in enumerate(LANCZOS_COEFFICIENTS[1:], start=1):
-        s += c / (z + i)
-    t = z + LANCZOS_SHIFT + 0.5
-    out = np.asarray(LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(s))
-    if reflect.any():
-        xm = x[reflect]
-        out[reflect] = np.log(np.pi / np.sin(np.pi * xm)) - out[reflect]
-    return out[()]
+    reflect = flat < 0.5
+    z = np.where(reflect, 1.0 - flat, flat)
+    z -= 1.0
+    shifted = z + _LANCZOS_OFFSETS
+    terms, (t, z_half) = shifted[:-2], shifted[-2:]
+    np.divide(_LANCZOS_NUMERATORS, terms, out=terms)
+    s = LANCZOS_COEFFICIENTS[0] + terms[0]
+    for term in terms[1:]:
+        s += term
+    t += 0.5
+    out = np.log(t)
+    out *= z_half
+    out += LN_SQRT_2PI
+    out -= t
+    out += np.log(s, out=s)
+    xm = flat[reflect]
+    xm *= np.pi
+    np.sin(xm, out=xm)
+    np.divide(np.pi, xm, out=xm)
+    np.log(xm, out=xm)
+    xm -= out[reflect]
+    out[reflect] = xm
+    return out.reshape(x.shape)[()]
 
 
 #: ln Gamma packaged for matrix sampling; ln Gamma(x) >= 0 on (0, 1].

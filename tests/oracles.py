@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from ratiolab.matrix_core import Integrand, SampledMatrixSpec, matrix_entry
+from ratiolab.specfun import LANCZOS_COEFFICIENTS, LANCZOS_SHIFT, LN_SQRT_2PI
 
 
 def naive_norm_power(spec: SampledMatrixSpec, m: float) -> float:
@@ -21,6 +22,30 @@ def naive_norm_power(spec: SampledMatrixSpec, m: float) -> float:
         for j in range(1, spec.order + 1):
             total += abs(matrix_entry(spec, i, j)) ** m
     return total
+
+
+def ln_gamma_reference(x: np.ndarray) -> np.ndarray:
+    """ln Gamma by the plain Lanczos loop: one temporary per coefficient,
+    the reflection formula below 1/2 applied to a gathered subset.
+
+    The bit-for-bit reference of specfun.ln_gamma, which evaluates the same
+    series with its terms fused.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(x > 0):
+        raise ValueError("ln_gamma requires all arguments > 0")
+    reflect = x < 0.5
+    xr = np.where(reflect, 1.0 - x, x)
+    z = xr - 1.0
+    s = np.full_like(z, LANCZOS_COEFFICIENTS[0])
+    for i, c in enumerate(LANCZOS_COEFFICIENTS[1:], start=1):
+        s += c / (z + i)
+    t = z + LANCZOS_SHIFT + 0.5
+    out = np.asarray(LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(s))
+    if reflect.any():
+        xm = x[reflect]
+        out[reflect] = np.log(np.pi / np.sin(np.pi * xm)) - out[reflect]
+    return out[()]
 
 
 def naive_weighted_sum(terms) -> float:

@@ -242,6 +242,33 @@ class TestSampleRow:
         with pytest.raises(EvaluationError, match="1/2"):
             sample_row(blowup, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_error_names_first_bad_point(self, bad):
+        # non-finite from x = 1/2 on: 3/6 is named, not 4/6, and not 1/2
+        tail = Integrand(eval=lambda x: np.where(x >= 0.5, bad, x), label="tail")
+        with pytest.raises(EvaluationError, match=r"'tail' is not finite at 3/6$"):
+            sample_row(tail, 6)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_returns_fresh_float64_row(self, name):
+        k = 12
+        first, second = sample_row(PRESETS[name], k), sample_row(PRESETS[name], k)
+        for row in (first, second):
+            assert type(row) is np.ndarray and row.dtype == np.float64
+            assert row.shape == (k,) and row.flags.writeable
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == second.tobytes()
+
+    def test_grid_is_j_over_k(self):
+        # the identity integrand returns the sample points themselves
+        for k in (1, 2, 7, 1000):
+            assert sample_row(IDENTITY, k).tolist() == [j / k for j in range(1, k + 1)]
+
+    def test_other_dtypes_become_float64(self):
+        single = Integrand(eval=lambda x: x.astype(np.float32), label="single")
+        row = sample_row(single, 4)
+        assert row.dtype == np.float64 and row.tolist() == [0.25, 0.5, 0.75, 1.0]
+
 
 class TestNormPower:
     def test_order_one_is_single_entry(self):
@@ -308,6 +335,31 @@ class TestNormPower:
         # twice the triangle sum (2e308) overflows, but 2e308 - 1e308 fits
         big = Integrand(eval=lambda x: np.full_like(x, 1e308), label="big")
         assert norm_power(SampledMatrixSpec(big, 1), 1.0) == 1e308
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    @pytest.mark.parametrize("value", [1e308, 4.5e307, 4e307, 1.9e307, 1.7976931348623157e308, 3.5])
+    def test_final_combination_near_overflow(self, value, order):
+        # the final 2 T - n |f(1)| is one fsum of three values; it gives the
+        # bits, or the overflow, of the exact accumulator over the same values
+        const = Integrand(eval=lambda x: np.full_like(x, value), label="const")
+        triangle = _exact_total(np.full(k, value) for k in range(1, order + 1))
+        expected = _exact_total([np.array([triangle, -order * value, triangle])])
+        try:
+            got = norm_power(SampledMatrixSpec(const, order), 1.0).hex()
+        except EvaluationError:
+            got = "overflow"
+        assert got == (expected.hex() if math.isfinite(expected) else "overflow")
+
+    def test_one_accumulator_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(chunks):
+            calls.append(1)
+            return _exact_total(chunks)
+
+        monkeypatch.setattr(ratiolab.matrix_core, "_exact_total", counting)
+        norm_power(SampledMatrixSpec(EXP, 30), 2.0)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("name", sorted(PRESETS))

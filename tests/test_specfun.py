@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ratiolab.specfun import (
     LN_GAMMA_INTEGRAND,
@@ -16,6 +18,8 @@ from ratiolab.specfun import (
     sine_half_product_log,
     sine_product_residual,
 )
+
+from oracles import ln_gamma_reference
 
 mpmath.mp.dps = 50
 
@@ -42,9 +46,10 @@ class TestLnGamma:
             assert abs(ours / exact - 1) <= 1e-12, f"x={x}"
 
     def test_domain_errors(self):
-        for bad in (0.0, -1.0, -0.5):
-            with pytest.raises(ValueError):
-                ln_gamma(bad)
+        for bad in (0.0, -0.0, -1.0, -0.5, math.nan):
+            for x in (bad, np.array(bad), np.full((2, 2), bad)):
+                with pytest.raises(ValueError):
+                    ln_gamma(x)
 
     def test_array_path_matches_scalar(self):
         xs = np.array([0.01, 0.3, 0.499, 0.5, 0.75, 1.0, 2.5, 17.0])
@@ -56,6 +61,78 @@ class TestLnGamma:
         for bad in (np.array([0.5, -1.0]), np.array([0.5, math.nan])):
             with pytest.raises(ValueError):
                 LN_GAMMA_INTEGRAND.eval(bad)
+
+
+def _outcome(f, x):
+    """Type, shape and bits of f(x), with floating-point warnings silenced."""
+    with np.errstate(all="ignore"):
+        result = f(x)
+    return type(result), np.shape(result), np.asarray(result).tobytes()
+
+
+def _assert_matches_reference(x):
+    before = np.array(x, copy=True)
+    assert _outcome(ln_gamma, x) == _outcome(ln_gamma_reference, x)
+    assert np.array_equal(np.asarray(x), before) and np.asarray(x).dtype == before.dtype
+    with np.errstate(all="ignore"):
+        assert not np.shares_memory(ln_gamma(x), x)
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+class TestLnGammaBitwise:
+    """ln_gamma is bit for bit the plain Lanczos loop of oracles.ln_gamma_reference."""
+
+    def test_every_row_up_to_3000_and_around_4096(self):
+        for k in [*range(1, 3001), 4095, 4096, 4097, 8192]:
+            row = np.arange(1, k + 1) / k
+            assert ln_gamma(row).tobytes() == ln_gamma_reference(row).tobytes(), f"k={k}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example([5e-324])
+    @example([2.0**-1022, 2.0**-1074 * 3])
+    @example([0.5, math.nextafter(0.5, 0.0), 1.0, 2.0])
+    @example([1e300, 1.0, 3.0, math.nextafter(0.5, 0.0)])
+    @example([1.7976931348623157e308])
+    def test_positive_floats(self, values):
+        _assert_matches_reference(np.array(values))
+        for value in values[:3]:
+            _assert_matches_reference(value)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            0.3,
+            7,
+            np.float64(0.25),
+            np.array(0.75),
+            np.array([]),
+            np.empty((0, 3)),
+            np.arange(1, 13).reshape(3, 4) / 12,
+            (np.arange(1, 13).reshape(3, 4) / 12).T,
+            (np.arange(1, 25) / 8)[::3],
+            np.arange(1, 9, dtype=np.float32) / 4,
+            [0.125, 0.5, 9.0],
+            _read_only(np.arange(1, 65) / 16),
+            np.broadcast_to(np.arange(1, 5) / 4, (3, 4)),
+        ],
+        ids=[
+            "float", "int", "numpy-float", "0-d", "empty", "empty-2d", "2d",
+            "transposed", "strided", "float32", "list", "read-only", "broadcast",
+        ],
+    )
+    def test_shapes_and_types(self, x):
+        _assert_matches_reference(x)
 
 
 class TestReflection:
