@@ -39,7 +39,6 @@ from .matrix_core import (
     NormReport,
     SampledMatrixSpec,
     convergence_table,
-    exact_parts,
     exact_sum,
     matrix_entry,
     norm_power,
@@ -81,7 +80,6 @@ __all__ = [
     "coprime_density",
     "duplication_residual",
     "euler_reflection_residual",
-    "exact_parts",
     "exact_sum",
     "farey_sequence",
     "gamma_integral_closed_partial",

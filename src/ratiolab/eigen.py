@@ -182,5 +182,5 @@ def spectral_sum_report(integrand: Integrand, n: int, tol: float = DEFAULT_TOL) 
     the normalized square sum tends to the integral of f^2 as n grows.
     """
     lam = jacobi_eigenvalues(materialize(SampledMatrixSpec(integrand, n)), tol=tol).eigenvalues
-    sum_sq = exact_sum(lam * lam)
-    return SpectralSums(trace=exact_sum(lam), sum_sq=sum_sq, normalized_sum_sq=sum_sq / (n * n))
+    sum_sq = exact_sum([lam * lam])
+    return SpectralSums(trace=exact_sum([lam]), sum_sq=sum_sq, normalized_sum_sq=sum_sq / (n * n))

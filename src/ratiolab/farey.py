@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, EvaluationError
-from .matrix_core import Integrand, _exact_total
+from .matrix_core import Integrand, exact_sum
 
 #: Largest sieve/table size accepted before raising CapacityError.
 MAX_SIEVE_LIMIT = 2_000_000
@@ -171,8 +171,8 @@ def weyl_average(integrand: Integrand, x: int) -> float:
     """Mean of the integrand over the Farey fractions of order x.
 
     Samples the coprime rows farey_sequence sorts, one grid row per
-    denominator c <= x at the b/c with b <= c and gcd(b, c) = 1, and sums
-    them by _exact_total; that sum does not depend on the order of the
+    denominator c <= x at the b/c with b <= c and gcd(b, c) = 1, and streams
+    them into exact_sum; that sum does not depend on the order of the
     values, so the result is bit-identical to averaging over
     farey_sequence(x).fractions.  Raises EvaluationError if the sum is not
     finite, and CapacityError above MAX_WEYL_ORDER.
@@ -189,7 +189,7 @@ def weyl_average(integrand: Integrand, x: int) -> float:
             count += b.size
             yield integrand.eval(b / c)
 
-    total = _exact_total(rows())
+    total = exact_sum(rows())
     if not math.isfinite(total):
         raise EvaluationError(f"average of {integrand.label!r} over order {x} is not finite")
     return total / count

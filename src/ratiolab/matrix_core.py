@@ -28,9 +28,10 @@ QUADRATURE_PANEL_BUDGET = 2**20
 OPEN_LEFT_EDGE = 2.0**-60
 
 _MAX_RECURSION_DEPTH = 80
-#: Most values _exact_total extracts at once (a longer chunk is its own
-#: block).  Its block and scratch buffers, 256 KiB each at 32K, are allocated
-#: once per sum and refilled block after block.
+#: Values exact_sum extracts at once: its stream fills one block of this
+#: many values, a chunk split where it does not fit.  Its block and scratch
+#: buffers, 256 KiB each at 32K, are allocated once per sum and refilled
+#: block after block.
 SUM_BLOCK = 1 << 15
 #: Largest order norm_power accepts: its n(n+1)/2 samples take about 1.9 s
 #: for exp and 8-9 s for lngamma at n = 20000 (2-core x86).
@@ -84,7 +85,7 @@ class NormReport:
         return abs(self.normalized - self.predicted_limit)
 
 
-def exact_parts(x: np.ndarray) -> list[float]:
+def _extract(x: np.ndarray, q: np.ndarray) -> list[float]:
     """Floats whose exact sum is exactly the sum of the values in x.
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
@@ -95,18 +96,9 @@ def exact_parts(x: np.ndarray) -> list[float]:
     is at most ulp(sigma)/2, so each pass strips 53 - shift leading bits,
     until nothing is left.  Values too large for sigma, and non-finite
     values, go to the result as they are.  math.fsum of the parts is the
-    correctly rounded sum of x, the same bits as math.fsum(x.tolist()).
-    The caller's x is left as it is: the passes run on a float64 copy.
-    """
-    x = np.array(x, dtype=np.float64).ravel()
-    return _extract(x, np.empty_like(x))
-
-
-def _extract(x: np.ndarray, q: np.ndarray) -> list[float]:
-    """exact_parts of the 1-d float64 array x, computed in place.
-
-    Overwrites x with what is left after the passes, and uses q, of the
-    same size, as scratch.
+    correctly rounded sum of x.  Runs in place on the 1-d float64 array x,
+    which it overwrites with what is left after the passes, and uses q, of
+    the same size, as scratch.
     """
     shift = math.ceil(math.log2(x.size + 2))
     limit = math.ldexp(1.0, 1022 - shift)  # sigma + x stays finite below it
@@ -125,9 +117,37 @@ def _extract(x: np.ndarray, q: np.ndarray) -> list[float]:
     return parts
 
 
-def exact_sum(x: np.ndarray) -> float:
-    """Correctly rounded sum of the values in x; bitwise math.fsum(x.tolist())."""
-    return math.fsum(exact_parts(x))
+def exact_sum(chunks: Iterable[np.ndarray]) -> float:
+    """Correctly rounded sum of the values in a stream of 1-d arrays.
+
+    The values are copied into one block buffer of SUM_BLOCK values, a chunk
+    split across blocks where it does not fit, and each full block is
+    extracted in place, so a sum of any length allocates its two block-sized
+    buffers once; math.fsum of all parts rounds once.  The caller's chunks
+    are left as they are, and the sum depends neither on order nor on
+    chunking: it has the bits of math.fsum over the concatenated values, and
+    an empty stream sums to 0.0.  If a value or the sum is not finite the
+    result is inf or nan, not an error: nan where math.fsum raises (finite
+    values whose sum overflows, or inf - inf).
+    """
+    parts: list[float] = []
+    block = np.empty(SUM_BLOCK)
+    scratch = np.empty(SUM_BLOCK)
+    filled = 0
+    for chunk in chunks:
+        while filled + chunk.size >= SUM_BLOCK:
+            take = SUM_BLOCK - filled
+            block[filled:] = chunk[:take]
+            parts += _extract(block, scratch)
+            chunk = chunk[take:]
+            filled = 0
+        block[filled : filled + chunk.size] = chunk
+        filled += chunk.size
+    parts += _extract(block[:filled], scratch[:filled])
+    try:
+        return math.fsum(parts)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def matrix_entry(spec: SampledMatrixSpec, i: int, j: int) -> float:
@@ -168,45 +188,12 @@ def _abs_power(values: np.ndarray, m: float) -> np.ndarray:
     return np.abs(values) ** m
 
 
-def _exact_total(chunks: Iterable[np.ndarray]) -> float:
-    """Correctly rounded sum of the values in a stream of 1-d arrays.
-
-    Chunks are copied into one block buffer until the next would overflow
-    SUM_BLOCK values; each full block is extracted in place, so a sum of
-    any length allocates its two block-sized buffers once.  A chunk longer
-    than SUM_BLOCK is its own block, through exact_parts.  The caller's
-    chunks are left as they are, and the sum depends neither on order nor
-    on chunking; an empty stream sums to 0.0.  If a value or the sum is not
-    finite the result is inf or nan, not an error: nan where math.fsum of
-    the parts raises (finite parts whose sum overflows, or inf - inf).
-    """
-    parts: list[float] = []
-    block = np.empty(SUM_BLOCK)
-    scratch = np.empty(SUM_BLOCK)
-    filled = 0
-    for chunk in chunks:
-        size = chunk.size
-        if filled + size > SUM_BLOCK and filled:
-            parts += _extract(block[:filled], scratch[:filled])
-            filled = 0
-        if size > SUM_BLOCK:
-            parts += exact_parts(chunk)
-        else:
-            block[filled : filled + size] = chunk
-            filled += size
-    parts += _extract(block[:filled], scratch[:filled])
-    try:
-        return math.fsum(parts)
-    except (OverflowError, ValueError):
-        return math.nan
-
-
 def norm_power(spec: SampledMatrixSpec, m: float) -> float:
     """sum |a_ij|^m over all n^2 entries, streamed over the lower triangle.
 
     By symmetry the full sum is twice the triangle sum minus the diagonal,
     and every diagonal entry is f(k/k) = f(1).  Rows are sampled in
-    ascending k and summed by _exact_total, so the triangle sum is correctly
+    ascending k and summed by exact_sum, so the triangle sum is correctly
     rounded and the result is reproducible bit for bit on a given platform,
     in O(n + SUM_BLOCK) memory.  Raises EvaluationError if the sum overflows,
     and CapacityError above MAX_NORM_ORDER before any row is sampled.
@@ -219,7 +206,7 @@ def norm_power(spec: SampledMatrixSpec, m: float) -> float:
     with np.errstate(over="ignore"):
         rows = (_abs_power(sample_row(f, k), m) for k in range(1, spec.order + 1))
         first = next(rows)  # row 1 is [|f(1)|^m], every diagonal entry
-        triangle = _exact_total(chain([first], rows))
+        triangle = exact_sum(chain([first], rows))
     # 2 * triangle - n * |f(1)|^m, rounded once; 2 * triangle is never formed.
     # The triangle holds the n diagonal terms, so no partial sum exceeds the
     # result, and fsum raises only where the total is not finite anyway.
@@ -302,7 +289,7 @@ def predict_limit(integrand: Integrand, m: float) -> float:
             axis=1,
         )[:, np.tile(~done, 2)]
         tol *= 0.5
-    return _exact_total(accepted)
+    return exact_sum(accepted)
 
 
 def weighted_cesaro(terms: Sequence[float]) -> float:

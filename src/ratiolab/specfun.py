@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .errors import CapacityError
 from .matrix_core import Integrand, SampledMatrixSpec, exact_sum, norm_power
 
 #: Lanczos shift g: the series argument is offset by g + 1/2.
@@ -41,6 +42,18 @@ _LANCZOS_OFFSETS = np.array(
 )[:, np.newaxis]
 #: The numerators c_1..c_8, as a column against the first eight offsets.
 _LANCZOS_NUMERATORS = np.array(LANCZOS_COEFFICIENTS[1:])[:, np.newaxis]
+
+#: Largest k gamma_row_log_product accepts: its k-value row peaks at about
+#: 115 bytes per value; k = 10^6 takes 0.12-0.20 s and 144 MiB peak RSS in a
+#: fresh process (2-core x86).
+MAX_ROW_PRODUCT_ORDER = 1_000_000
+#: Largest k sine_half_product_log (and so sine_product_residual) accepts:
+#: its k/2 scalar terms take 1.6-1.8 s at k = 10^7, with no memory growth
+#: (2-core x86).
+MAX_SINE_ORDER = 10_000_000
+#: Largest n gamma_integral_closed_partial accepts: its n scalar logarithms
+#: take 1.8-2.1 s at n = 10^7, with no memory growth (2-core x86).
+MAX_CLOSED_PARTIAL_ORDER = 10_000_000
 
 LN_2 = math.log(2.0)
 LN_2PI = math.log(2.0 * math.pi)
@@ -119,16 +132,25 @@ def euler_reflection_residual(s: float) -> float:
 
 
 def duplication_residual(z: float) -> float:
-    """Signed residual of sqrt(pi) Gamma(2z) = 2^(2z-1) Gamma(z) Gamma(z + 1/2)."""
+    """Signed residual of sqrt(pi) Gamma(2z) = 2^(2z-1) Gamma(z) Gamma(z + 1/2).
+
+    Raises ValueError naming z where the residual is not finite: above about
+    z = 1.2e305, ln Gamma(2z) overflows.
+    """
     if not (math.isfinite(z) and z > 0):
         raise ValueError(f"duplication requires finite z > 0, got {z!r}")
-    return (
-        LN_SQRT_PI
-        + float(ln_gamma(2.0 * z))
-        - (2.0 * z - 1.0) * LN_2
-        - float(ln_gamma(z))
-        - float(ln_gamma(z + 0.5))
-    )
+    # an overflowing ln Gamma is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = (
+            LN_SQRT_PI
+            + float(ln_gamma(2.0 * z))
+            - (2.0 * z - 1.0) * LN_2
+            - float(ln_gamma(z))
+            - float(ln_gamma(z + 0.5))
+        )
+    if not math.isfinite(residual):
+        raise ValueError(f"duplication residual is not finite at z = {z!r}")
+    return residual
 
 
 def sine_product_residual(k: int) -> float:
@@ -143,9 +165,14 @@ def sine_product_residual(k: int) -> float:
 
 
 def sine_half_product_log(k: int) -> float:
-    """log of prod_{j=1..floor(k/2)} sin(j pi / k); equals (ln k - (k-1) ln 2) / 2."""
+    """log of prod_{j=1..floor(k/2)} sin(j pi / k); equals (ln k - (k-1) ln 2) / 2.
+
+    Raises CapacityError above MAX_SINE_ORDER before any term is computed.
+    """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    if k > MAX_SINE_ORDER:
+        raise CapacityError(f"sine product order {k} exceeds budget {MAX_SINE_ORDER}")
     return math.fsum(math.log(math.sin(j * math.pi / k)) for j in range(1, k // 2 + 1))
 
 
@@ -153,10 +180,13 @@ def gamma_row_log_product(k: int) -> float:
     """sum_{j=1..k-1} ln Gamma(j/k), i.e. the log of prod Gamma(j/k).
 
     Equals ((k-1)/2) ln(2 pi) - (1/2) ln k; see gamma_row_log_product_closed.
+    Raises CapacityError above MAX_ROW_PRODUCT_ORDER before the row is built.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return exact_sum(ln_gamma(np.arange(1, k) / k))
+    if k > MAX_ROW_PRODUCT_ORDER:
+        raise CapacityError(f"row product order {k} exceeds budget {MAX_ROW_PRODUCT_ORDER}")
+    return exact_sum([ln_gamma(np.arange(1, k) / k)])
 
 
 def gamma_row_log_product_closed(k: int) -> float:
@@ -171,10 +201,15 @@ def gamma_integral_closed_partial(n: int) -> float:
 
     ln n! is summed directly from ln k, deliberately bypassing the Gamma
     evaluator, so this route stays independent of it and the cross-check
-    against gamma_integral_via_matrix is meaningful.
+    against gamma_integral_via_matrix is meaningful.  Raises CapacityError
+    above MAX_CLOSED_PARTIAL_ORDER before any term is computed.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > MAX_CLOSED_PARTIAL_ORDER:
+        raise CapacityError(
+            f"closed-route order {n} exceeds budget {MAX_CLOSED_PARTIAL_ORDER}"
+        )
     log_factorial = math.fsum(math.log(k) for k in range(1, n + 1))
     return (0.5 * n * (n - 1) * LN_2PI - log_factorial) / (n * n)
 

@@ -7,6 +7,7 @@ from ratiolab.cli import main
 from ratiolab.errors import MAX_JACOBI_ORDER
 from ratiolab.farey import MAX_FAREY_ORDER
 from ratiolab.matrix_core import MAX_NORM_ORDER
+from ratiolab.specfun import MAX_ROW_PRODUCT_ORDER, MAX_SINE_ORDER
 
 
 def run_cli(capsys, argv):
@@ -280,6 +281,28 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ")
         assert f"exceeds budget {MAX_NORM_ORDER}" in err
+
+    @pytest.mark.parametrize(
+        "mode, order, budget",
+        [
+            ("rowproduct", MAX_ROW_PRODUCT_ORDER + 1, MAX_ROW_PRODUCT_ORDER),
+            ("sine-odd", MAX_SINE_ORDER + 1, MAX_SINE_ORDER),
+            ("sine-even", MAX_SINE_ORDER + 1, MAX_SINE_ORDER),
+        ],
+    )
+    def test_beyond_gamma_budget_exits_one(self, capsys, mode, order, budget):
+        code, out, err = run_cli(capsys, ["gamma", "--mode", mode, "--orders", str(order)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert f"exceeds budget {budget}" in err
+
+    def test_duplication_overflow_exits_one(self, capsys):
+        # ln Gamma(2z) overflows; a RuntimeWarning would fail the suite
+        code, out, err = run_cli(capsys, ["gamma", "--mode", "duplication", "--points", "1e306"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: duplication residual is not finite at z = 1e+306\n"
 
     @pytest.mark.parametrize("k", ["12", "15000"])
     def test_hadamard_beyond_dense_limit_exits_one(self, capsys, k):

@@ -23,9 +23,8 @@ from ratiolab.matrix_core import (
     Integrand,
     NormReport,
     SampledMatrixSpec,
-    _exact_total,
+    _extract,
     convergence_table,
-    exact_parts,
     exact_sum,
     matrix_entry,
     norm_power,
@@ -40,18 +39,22 @@ from oracles import exp_row_mean, naive_norm_power, naive_weighted_sum
 E = math.e
 
 
-def _sum_outcome(total):
-    """The bits of total() in hex (so -0.0 differs from 0.0), or the name of what it raises."""
+def _fsum_or_nan(values):
+    """math.fsum of the values, or nan where it raises (finite overflow, inf - inf)."""
     try:
-        return total().hex()
-    except (OverflowError, ValueError) as exc:
-        return type(exc).__name__
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
-def _assert_exact_sum_is_fsum(x):
-    before = x.copy()
-    assert _sum_outcome(lambda: exact_sum(x)) == _sum_outcome(lambda: math.fsum(x.tolist()))
-    np.testing.assert_array_equal(x, before)
+def _assert_exact_sum_is_fsum(chunks):
+    """exact_sum of the chunks has the bits of fsum over their concatenation,
+    in hex (so -0.0 differs from 0.0), and leaves the chunks as they are."""
+    before = [c.copy() for c in chunks]
+    values = [v for c in chunks for v in c.tolist()]
+    assert exact_sum(iter(chunks)).hex() == _fsum_or_nan(values).hex()
+    for chunk, copy in zip(chunks, before):
+        np.testing.assert_array_equal(chunk, copy)
 
 
 #: Largest order of the bitwise norm_power oracle; its triangle fills 3 blocks.
@@ -69,13 +72,20 @@ def _triangle_entries(name):
     return entries
 
 
+#: Chunk sizes around the block edges, and anything up to two blocks.
+_CHUNK_SIZES = st.one_of(
+    st.sampled_from([0, 1, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1]),
+    st.integers(min_value=0, max_value=2 * SUM_BLOCK),
+)
+
+
 class TestExactSum:
     @given(values=st.lists(st.floats(), max_size=60))
     @settings(max_examples=300)
     def test_arbitrary_floats(self, values):
         # hypothesis floats include subnormals, signed zeros, values near
         # 1e308 (the fsum fallback) and inf/nan
-        _assert_exact_sum_is_fsum(np.array(values, dtype=np.float64))
+        _assert_exact_sum_is_fsum([np.array(values, dtype=np.float64)])
 
     @given(
         values=st.lists(
@@ -86,7 +96,7 @@ class TestExactSum:
     @settings(max_examples=200)
     def test_heavy_cancellation(self, values, eps):
         x = np.array(values)
-        _assert_exact_sum_is_fsum(np.concatenate([x, -x * (1.0 + eps)]))
+        _assert_exact_sum_is_fsum([np.concatenate([x, -x * (1.0 + eps)])])
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -101,26 +111,17 @@ class TestExactSum:
         x = np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(*exponents, size))
         zeros = rng.random(size) < zero_share
         x[zeros] = np.copysign(0.0, rng.uniform(-1.0, 1.0, int(zeros.sum())))
-        _assert_exact_sum_is_fsum(x)
+        _assert_exact_sum_is_fsum([x])
 
     def test_small_sizes(self):
         for values in ([], [0.0], [-0.0], [-0.0, -0.0], [5e-324], [1e308, 1e308], [1.0, -1.0]):
-            _assert_exact_sum_is_fsum(np.array(values, dtype=np.float64))
+            _assert_exact_sum_is_fsum([np.array(values, dtype=np.float64)])
 
     def test_few_parts(self):
         # 1001 values spanning 2^-58..2^58: each pass strips 53 - 10 bits
         x = np.exp(np.linspace(-40.0, 40.0, 1001))
-        assert len(exact_parts(x)) <= 5
+        assert len(_extract(x.copy(), np.empty_like(x))) <= 5
 
-
-#: Chunk sizes around the block edges, and anything up to two blocks.
-_CHUNK_SIZES = st.one_of(
-    st.sampled_from([0, 1, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1]),
-    st.integers(min_value=0, max_value=2 * SUM_BLOCK),
-)
-
-
-class TestExactTotal:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         sizes=st.lists(_CHUNK_SIZES, max_size=6),
@@ -142,21 +143,19 @@ class TestExactTotal:
         for value in special if filled else ():
             chunk = filled[rng.integers(len(filled))]
             chunk[rng.integers(chunk.size)] = value
-        before = [c.copy() for c in chunks]
-        total = _exact_total(iter(chunks))
-        values = np.concatenate(chunks).tolist() if chunks else []
-        try:
-            expected = math.fsum(values)
-        except ValueError:  # inf - inf
-            assert math.isnan(total)
-        else:
-            assert total.hex() == expected.hex()
-        for chunk, copy in zip(chunks, before):
-            np.testing.assert_array_equal(chunk, copy)
+        _assert_exact_sum_is_fsum(chunks)
+
+    def test_block_too_large_to_extract_then_more(self):
+        # |x| >= 1e305 is above a full block's extraction limit (2^1006), so the
+        # first block goes to the parts as it is; alternating signs keep every
+        # partial sum finite
+        x = np.linspace(1e305, 2e305, SUM_BLOCK + 5)
+        x[1::2] *= -1.0
+        _assert_exact_sum_is_fsum([x[:7], x[7:]])
 
     def test_finite_overflow_is_nan(self):
         # math.fsum raises OverflowError on 2e308; the documented result is nan
-        assert math.isnan(_exact_total([np.array([1e308]), np.array([1e308])]))
+        assert math.isnan(exact_sum([np.array([1e308]), np.array([1e308])]))
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts of Linux")
     def test_blocks_reuse_their_buffers(self):
@@ -342,8 +341,8 @@ class TestNormPower:
         # the final 2 T - n |f(1)| is one fsum of three values; it gives the
         # bits, or the overflow, of the exact accumulator over the same values
         const = Integrand(eval=lambda x: np.full_like(x, value), label="const")
-        triangle = _exact_total(np.full(k, value) for k in range(1, order + 1))
-        expected = _exact_total([np.array([triangle, -order * value, triangle])])
+        triangle = exact_sum(np.full(k, value) for k in range(1, order + 1))
+        expected = exact_sum([np.array([triangle, -order * value, triangle])])
         try:
             got = norm_power(SampledMatrixSpec(const, order), 1.0).hex()
         except EvaluationError:
@@ -355,9 +354,9 @@ class TestNormPower:
 
         def counting(chunks):
             calls.append(1)
-            return _exact_total(chunks)
+            return exact_sum(chunks)
 
-        monkeypatch.setattr(ratiolab.matrix_core, "_exact_total", counting)
+        monkeypatch.setattr(ratiolab.matrix_core, "exact_sum", counting)
         norm_power(SampledMatrixSpec(EXP, 30), 2.0)
         assert len(calls) == 1
 

@@ -1,4 +1,6 @@
 import math
+import re
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -6,8 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ratiolab import specfun
+from ratiolab.errors import CapacityError
 from ratiolab.specfun import (
     LN_GAMMA_INTEGRAND,
+    MAX_CLOSED_PARTIAL_ORDER,
+    MAX_ROW_PRODUCT_ORDER,
+    MAX_SINE_ORDER,
     duplication_residual,
     euler_reflection_residual,
     gamma_integral_closed_partial,
@@ -24,6 +31,16 @@ from oracles import ln_gamma_reference
 mpmath.mp.dps = 50
 
 LN_SQRT_2PI = 0.5 * math.log(2 * math.pi)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the capacity check")
+
+
+def _refuse_scalar_math(monkeypatch):
+    """Make every math function that specfun's scalar loops call refuse to run."""
+    refusing = {name: _refuse for name in ("log", "sin", "fsum", "exp")}
+    monkeypatch.setattr(specfun, "math", SimpleNamespace(**{**vars(math), **refusing}))
 
 
 class TestLnGamma:
@@ -169,6 +186,12 @@ class TestDuplication:
             with pytest.raises(ValueError):
                 duplication_residual(bad)
 
+    @pytest.mark.parametrize("z", [1.3e305, 1e306, 1e308, 1.7976931348623157e308])
+    def test_non_finite_residual_raises(self, z):
+        # ln Gamma(2z) overflows; a RuntimeWarning escaping would fail the suite
+        with pytest.raises(ValueError, match=re.escape(f"not finite at z = {z!r}")):
+            duplication_residual(z)
+
 
 class TestSineProducts:
     def test_odd_exact_at_one(self):
@@ -203,6 +226,13 @@ class TestSineProducts:
         with pytest.raises(ValueError):
             sine_half_product_log(1)
 
+    @pytest.mark.parametrize("fn", [sine_half_product_log, sine_product_residual])
+    def test_capacity_limit_raises_before_any_term(self, monkeypatch, fn):
+        _refuse_scalar_math(monkeypatch)
+        over = MAX_SINE_ORDER + 1
+        with pytest.raises(CapacityError, match=f"sine product order {over} exceeds budget"):
+            fn(over)
+
 
 class TestRowProduct:
     def test_k_two_is_log_sqrt_pi(self):
@@ -228,6 +258,13 @@ class TestRowProduct:
         for fn in (gamma_row_log_product, gamma_row_log_product_closed):
             with pytest.raises(ValueError):
                 fn(1)
+
+    def test_capacity_limit_raises_before_the_row_is_built(self, monkeypatch):
+        monkeypatch.setattr(specfun, "ln_gamma", _refuse)
+        monkeypatch.setattr(specfun, "np", SimpleNamespace(arange=_refuse))
+        over = MAX_ROW_PRODUCT_ORDER + 1
+        with pytest.raises(CapacityError, match=f"row product order {over} exceeds budget"):
+            gamma_row_log_product(over)
 
 
 class TestGammaIntegral:
@@ -265,3 +302,9 @@ class TestGammaIntegral:
             gamma_integral_closed_partial(0)
         with pytest.raises(ValueError):
             gamma_integral_via_matrix(0)
+
+    def test_closed_partial_capacity_limit_raises_before_any_term(self, monkeypatch):
+        _refuse_scalar_math(monkeypatch)
+        over = MAX_CLOSED_PARTIAL_ORDER + 1
+        with pytest.raises(CapacityError, match=f"closed-route order {over} exceeds budget"):
+            gamma_integral_closed_partial(over)
