@@ -207,9 +207,7 @@ def gamma_integral_closed_partial(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > MAX_CLOSED_PARTIAL_ORDER:
-        raise CapacityError(
-            f"closed-route order {n} exceeds budget {MAX_CLOSED_PARTIAL_ORDER}"
-        )
+        raise CapacityError(f"closed-route order {n} exceeds budget {MAX_CLOSED_PARTIAL_ORDER}")
     log_factorial = math.fsum(math.log(k) for k in range(1, n + 1))
     return (0.5 * n * (n - 1) * LN_2PI - log_factorial) / (n * n)
 
