@@ -180,7 +180,10 @@ def spectral_sum_report(integrand: Integrand, n: int, tol: float = DEFAULT_TOL) 
     The trace equals n * f(1) (every diagonal entry is f(1)) and the square
     sum equals the squared Frobenius norm, i.e. the entrywise 2-norm power;
     the normalized square sum tends to the integral of f^2 as n grows.
+    Raises CapacityError above MAX_JACOBI_ORDER before any row is sampled.
     """
+    if n > MAX_JACOBI_ORDER:
+        raise CapacityError(f"order {n} exceeds Jacobi limit {MAX_JACOBI_ORDER}")
     lam = jacobi_eigenvalues(materialize(SampledMatrixSpec(integrand, n)), tol=tol).eigenvalues
     sum_sq = exact_sum([lam * lam])
     return SpectralSums(trace=exact_sum([lam]), sum_sq=sum_sq, normalized_sum_sq=sum_sq / (n * n))

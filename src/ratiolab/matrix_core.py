@@ -295,15 +295,15 @@ def predict_limit(integrand: Integrand, m: float) -> float:
 def weighted_cesaro(terms: Sequence[float]) -> float:
     """(a_1 + 2*a_2 + ... + n*a_n) / n^2.
 
-    For sequences with a_k -> b this weighted mean approaches b/2.
+    For sequences with a_k -> b this weighted mean approaches b/2.  A sum past
+    the float range gives inf or nan, as exact_sum does.
     """
-    terms = [float(t) for t in terms]
-    if not terms:
+    terms = np.array([float(t) for t in terms])
+    if not terms.size:
         raise ValueError("terms must be nonempty")
-    if not all(math.isfinite(t) for t in terms):
+    if not np.isfinite(terms).all():
         raise ValueError("terms must all be finite")
-    n = len(terms)
-    return math.fsum(k * a for k, a in enumerate(terms, start=1)) / (n * n)
+    return exact_sum([np.arange(1, terms.size + 1) * terms]) / terms.size**2
 
 
 def convergence_table(

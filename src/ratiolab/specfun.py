@@ -14,11 +14,12 @@ tolerances belong to the tests, not the library.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
 from .errors import CapacityError
-from .matrix_core import Integrand, SampledMatrixSpec, exact_sum, norm_power
+from .matrix_core import SUM_BLOCK, Integrand, SampledMatrixSpec, exact_sum, norm_power
 
 #: Lanczos shift g: the series argument is offset by g + 1/2.
 LANCZOS_SHIFT = 7.0
@@ -43,17 +44,10 @@ _LANCZOS_OFFSETS = np.array(
 #: The numerators c_1..c_8, as a column against the first eight offsets.
 _LANCZOS_NUMERATORS = np.array(LANCZOS_COEFFICIENTS[1:])[:, np.newaxis]
 
-#: Largest k gamma_row_log_product accepts: its k-value row peaks at about
-#: 115 bytes per value; k = 10^6 takes 0.12-0.20 s and 144 MiB peak RSS in a
-#: fresh process (2-core x86).
-MAX_ROW_PRODUCT_ORDER = 1_000_000
-#: Largest k sine_half_product_log (and so sine_product_residual) accepts:
-#: its k/2 scalar terms take 1.6-1.8 s at k = 10^7, with no memory growth
-#: (2-core x86).
-MAX_SINE_ORDER = 10_000_000
-#: Largest n gamma_integral_closed_partial accepts: its n scalar logarithms
-#: take 1.8-2.1 s at n = 10^7, with no memory growth (2-core x86).
-MAX_CLOSED_PARTIAL_ORDER = 10_000_000
+#: Largest order of each O(k) route below; each streams SUM_BLOCK slices into
+#: exact_sum, so memory stays flat: at 10^8 the row product, sine product and
+#: closed route take 4.2 / 1.3 / 0.8 s, at most 34 MiB peak RSS (2-core x86).
+MAX_STREAM_ORDER = 100_000_000
 
 LN_2 = math.log(2.0)
 LN_2PI = math.log(2.0 * math.pi)
@@ -117,18 +111,31 @@ def ln_gamma(x: np.ndarray) -> np.ndarray:
 LN_GAMMA_INTEGRAND = Integrand(eval=ln_gamma, label="lngamma")
 
 
+def _grid(start: int, stop: int) -> Iterator[np.ndarray]:
+    """The float64 integers start <= j < stop, in slices of SUM_BLOCK values."""
+    for first in range(start, stop, SUM_BLOCK):
+        yield np.arange(first, min(first + SUM_BLOCK, stop), dtype=np.float64)
+
+
 def euler_reflection_residual(s: float) -> float:
     """ln Gamma(s) + ln Gamma(1-s) - ln(pi / sin(pi s)) for 0 < s < 1.
 
-    The magnitude is a direct accuracy probe of the evaluator.
+    The magnitude is a direct accuracy probe of the evaluator.  Raises
+    ValueError naming s where the residual is not finite: below about
+    s = 5.6e-309, pi / sin(pi s) overflows.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"reflection requires 0 < s < 1, got {s!r}")
-    return (
-        float(ln_gamma(s))
-        + float(ln_gamma(1.0 - s))
-        - math.log(math.pi / math.sin(math.pi * s))
-    )
+    # an overflowing pi / sin(pi s) is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = (
+            float(ln_gamma(s))
+            + float(ln_gamma(1.0 - s))
+            - math.log(math.pi / math.sin(math.pi * s))
+        )
+    if not math.isfinite(residual):
+        raise ValueError(f"reflection residual is not finite at s = {s!r}")
+    return residual
 
 
 def duplication_residual(z: float) -> float:
@@ -167,26 +174,26 @@ def sine_product_residual(k: int) -> float:
 def sine_half_product_log(k: int) -> float:
     """log of prod_{j=1..floor(k/2)} sin(j pi / k); equals (ln k - (k-1) ln 2) / 2.
 
-    Raises CapacityError above MAX_SINE_ORDER before any term is computed.
+    Raises CapacityError above MAX_STREAM_ORDER before any term is computed.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if k > MAX_SINE_ORDER:
-        raise CapacityError(f"sine product order {k} exceeds budget {MAX_SINE_ORDER}")
-    return math.fsum(math.log(math.sin(j * math.pi / k)) for j in range(1, k // 2 + 1))
+    if k > MAX_STREAM_ORDER:
+        raise CapacityError(f"sine product order {k} exceeds budget {MAX_STREAM_ORDER}")
+    return exact_sum(np.log(np.sin(j * math.pi / k)) for j in _grid(1, k // 2 + 1))
 
 
 def gamma_row_log_product(k: int) -> float:
     """sum_{j=1..k-1} ln Gamma(j/k), i.e. the log of prod Gamma(j/k).
 
     Equals ((k-1)/2) ln(2 pi) - (1/2) ln k; see gamma_row_log_product_closed.
-    Raises CapacityError above MAX_ROW_PRODUCT_ORDER before the row is built.
+    Raises CapacityError above MAX_STREAM_ORDER before any term is computed.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if k > MAX_ROW_PRODUCT_ORDER:
-        raise CapacityError(f"row product order {k} exceeds budget {MAX_ROW_PRODUCT_ORDER}")
-    return exact_sum([ln_gamma(np.arange(1, k) / k)])
+    if k > MAX_STREAM_ORDER:
+        raise CapacityError(f"row product order {k} exceeds budget {MAX_STREAM_ORDER}")
+    return exact_sum(ln_gamma(j / k) for j in _grid(1, k))
 
 
 def gamma_row_log_product_closed(k: int) -> float:
@@ -199,16 +206,16 @@ def gamma_row_log_product_closed(k: int) -> float:
 def gamma_integral_closed_partial(n: int) -> float:
     """(1/n^2) * [ (n(n-1)/2) ln(2 pi) - ln n! ]; tends to ln sqrt(2 pi).
 
-    ln n! is summed directly from ln k, deliberately bypassing the Gamma
-    evaluator, so this route stays independent of it and the cross-check
-    against gamma_integral_via_matrix is meaningful.  Raises CapacityError
-    above MAX_CLOSED_PARTIAL_ORDER before any term is computed.
+    ln n! is summed exactly from numpy's ln j, deliberately bypassing the
+    Gamma evaluator, so this route stays independent of it and the
+    cross-check against gamma_integral_via_matrix is meaningful.  Raises
+    CapacityError above MAX_STREAM_ORDER before any term is computed.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > MAX_CLOSED_PARTIAL_ORDER:
-        raise CapacityError(f"closed-route order {n} exceeds budget {MAX_CLOSED_PARTIAL_ORDER}")
-    log_factorial = math.fsum(math.log(k) for k in range(1, n + 1))
+    if n > MAX_STREAM_ORDER:
+        raise CapacityError(f"closed-route order {n} exceeds budget {MAX_STREAM_ORDER}")
+    log_factorial = exact_sum(np.log(j) for j in _grid(1, n + 1))
     return (0.5 * n * (n - 1) * LN_2PI - log_factorial) / (n * n)
 
 

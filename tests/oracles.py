@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ratiolab.matrix_core import Integrand, SampledMatrixSpec, matrix_entry
-from ratiolab.specfun import LANCZOS_COEFFICIENTS, LANCZOS_SHIFT, LN_SQRT_2PI
+from ratiolab.specfun import LANCZOS_COEFFICIENTS, LANCZOS_SHIFT, LN_2PI, LN_SQRT_2PI, ln_gamma
 
 
 def naive_norm_power(spec: SampledMatrixSpec, m: float) -> float:
@@ -46,6 +46,26 @@ def ln_gamma_reference(x: np.ndarray) -> np.ndarray:
         xm = x[reflect]
         out[reflect] = np.log(np.pi / np.sin(np.pi * xm)) - out[reflect]
     return out[()]
+
+
+def sine_half_product_log_reference(k: int) -> float:
+    """log of prod_{j<=k/2} sin(j pi / k) by the scalar libm loop, summed by math.fsum."""
+    return math.fsum(math.log(math.sin(j * math.pi / k)) for j in range(1, k // 2 + 1))
+
+
+def gamma_row_log_product_reference(k: int) -> float:
+    """sum_{j<k} ln Gamma(j/k) from the whole row, evaluated at once, summed by math.fsum."""
+    return math.fsum(ln_gamma(np.arange(1, k) / k).tolist())
+
+
+def closed_partial(n: int, log_factorial: float) -> float:
+    """(1/n^2) * [ (n(n-1)/2) ln(2 pi) - ln n! ], given ln n!."""
+    return (0.5 * n * (n - 1) * LN_2PI - log_factorial) / (n * n)
+
+
+def gamma_integral_closed_partial_reference(n: int) -> float:
+    """The closed route with ln n! from the scalar libm loop, summed by math.fsum."""
+    return closed_partial(n, math.fsum(math.log(j) for j in range(1, n + 1)))
 
 
 def naive_weighted_sum(terms) -> float:

@@ -7,7 +7,7 @@ from ratiolab.cli import main
 from ratiolab.errors import MAX_JACOBI_ORDER
 from ratiolab.farey import MAX_FAREY_ORDER
 from ratiolab.matrix_core import MAX_NORM_ORDER
-from ratiolab.specfun import MAX_ROW_PRODUCT_ORDER, MAX_SINE_ORDER
+from ratiolab.specfun import MAX_STREAM_ORDER
 
 
 def run_cli(capsys, argv):
@@ -282,20 +282,14 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert f"exceeds budget {MAX_NORM_ORDER}" in err
 
-    @pytest.mark.parametrize(
-        "mode, budget",
-        [
-            ("rowproduct", MAX_ROW_PRODUCT_ORDER),
-            ("sine-odd", MAX_SINE_ORDER),
-            ("sine-even", MAX_SINE_ORDER),
-        ],
-    )
-    def test_beyond_gamma_budget_exits_one(self, capsys, mode, budget):
-        code, out, err = run_cli(capsys, ["gamma", "--mode", mode, "--orders", str(budget + 1)])
+    @pytest.mark.parametrize("mode", ["rowproduct", "sine-odd", "sine-even"])
+    def test_beyond_gamma_budget_exits_one(self, capsys, mode):
+        over = MAX_STREAM_ORDER + 1
+        code, out, err = run_cli(capsys, ["gamma", "--mode", mode, "--orders", str(over)])
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
-        assert f"exceeds budget {budget}" in err
+        assert f"exceeds budget {MAX_STREAM_ORDER}" in err
 
     def test_duplication_overflow_exits_one(self, capsys):
         # ln Gamma(2z) overflows; a RuntimeWarning would fail the suite
@@ -303,6 +297,13 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == "error: duplication residual is not finite at z = 1e+306\n"
+
+    def test_reflection_overflow_exits_one(self, capsys):
+        # pi / sin(pi s) overflows; a RuntimeWarning would fail the suite
+        code, out, err = run_cli(capsys, ["gamma", "--mode", "reflection", "--points", "1e-320"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: reflection residual is not finite at s = 1e-320\n"
 
     @pytest.mark.parametrize("k", ["12", "15000"])
     def test_hadamard_beyond_dense_limit_exits_one(self, capsys, k):

@@ -14,7 +14,7 @@ from ratiolab.eigen import (
 )
 from ratiolab.errors import MAX_JACOBI_ORDER, CapacityError, ConvergenceError
 from ratiolab.integrands import EXP, IDENTITY, LNGAMMA, PRESETS
-from ratiolab.matrix_core import SampledMatrixSpec, matrix_entry, norm_power
+from ratiolab.matrix_core import Integrand, SampledMatrixSpec, matrix_entry, norm_power
 
 E = math.e
 
@@ -243,6 +243,14 @@ class TestSpectralSumReport:
         entrywise = norm_power(SampledMatrixSpec(EXP, 64), 2.0)
         assert sums.sum_sq == pytest.approx(entrywise, rel=1e-8)
         assert abs(sums.normalized_sum_sq - (E**2 - 1) / 2) <= 0.1
+
+    @pytest.mark.parametrize("n", [MAX_JACOBI_ORDER + 1, 2048, 4096])
+    def test_capacity_limit_raises_before_sampling(self, n):
+        def unsampled(x):
+            raise AssertionError("a row was sampled")
+
+        with pytest.raises(CapacityError, match=f"order {n} exceeds Jacobi limit"):
+            spectral_sum_report(Integrand(eval=unsampled, label="unsampled"), n)
 
 
 class TestIdentityKernelOracle:

@@ -531,6 +531,17 @@ class TestWeightedCesaro:
         expected = c * (n + 1) / (2 * n)
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
+    @given(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=50))
+    @settings(max_examples=200)
+    def test_bitwise_fsum_of_weighted_terms(self, terms):
+        n = len(terms)
+        expected = math.fsum(k * a for k, a in enumerate(terms, start=1)) / (n * n)
+        assert weighted_cesaro(terms).hex() == expected.hex()
+
+    def test_overflowing_sum_is_nan(self):
+        # 1.7e308 + 2 * 0.8e308 passes the float range; math.fsum would raise
+        assert math.isnan(weighted_cesaro([1.7e308, 0.8e308]))
+
     def test_empty_terms_rejected(self):
         with pytest.raises(ValueError):
             weighted_cesaro([])

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import mpmath
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 
 from ratiolab import specfun
 from ratiolab.errors import CapacityError
+from ratiolab.matrix_core import SUM_BLOCK
 from ratiolab.specfun import (
+    LN_2PI,
     LN_GAMMA_INTEGRAND,
-    MAX_CLOSED_PARTIAL_ORDER,
-    MAX_ROW_PRODUCT_ORDER,
-    MAX_SINE_ORDER,
+    MAX_STREAM_ORDER,
     duplication_residual,
     euler_reflection_residual,
     gamma_integral_closed_partial,
@@ -26,7 +27,13 @@ from ratiolab.specfun import (
     sine_product_residual,
 )
 
-from oracles import ln_gamma_reference
+from oracles import (
+    closed_partial,
+    gamma_integral_closed_partial_reference,
+    gamma_row_log_product_reference,
+    ln_gamma_reference,
+    sine_half_product_log_reference,
+)
 
 mpmath.mp.dps = 50
 
@@ -37,10 +44,25 @@ def _refuse(*args, **kwargs):
     raise AssertionError("work started before the capacity check")
 
 
-def _refuse_scalar_math(monkeypatch):
-    """Make every math function that specfun's scalar loops call refuse to run."""
-    refusing = {name: _refuse for name in ("log", "sin", "fsum", "exp")}
-    monkeypatch.setattr(specfun, "math", SimpleNamespace(**{**vars(math), **refusing}))
+def _refuse_work(monkeypatch):
+    """Make the grid, every numpy term function and the sum refuse to run in specfun."""
+    for name in ("_grid", "ln_gamma", "exact_sum"):
+        monkeypatch.setattr(specfun, name, _refuse)
+    monkeypatch.setattr(specfun, "np", SimpleNamespace(arange=_refuse, log=_refuse, sin=_refuse))
+
+
+def _sine_terms(k):
+    """The sine product's numpy terms over the whole range j <= k/2 at once."""
+    return np.log(np.sin(np.arange(1, k // 2 + 1) * math.pi / k))
+
+
+def _log_terms(n):
+    """ln j for j <= n by numpy, over the whole range at once."""
+    return np.log(np.arange(1.0, n + 1))
+
+
+#: Term counts just below, at and just above the grid's slice boundaries.
+_BOUNDARY_COUNTS = (SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 2 * SUM_BLOCK + 1)
 
 
 class TestLnGamma:
@@ -172,6 +194,16 @@ class TestReflection:
             with pytest.raises(ValueError):
                 euler_reflection_residual(bad)
 
+    def test_finite_just_above_the_overflow(self):
+        # pi / sin(pi s) overflows below about 5.6e-309
+        assert euler_reflection_residual(6e-309) == 0.0
+
+    @pytest.mark.parametrize("s", [5e-309, 1e-310, 1e-320, 5e-324])
+    def test_non_finite_residual_raises(self, s):
+        # pi / sin(pi s) overflows; a RuntimeWarning escaping would fail the suite
+        with pytest.raises(ValueError, match=re.escape(f"not finite at s = {s!r}")):
+            euler_reflection_residual(s)
+
 
 class TestDuplication:
     def test_collapse_at_half(self):
@@ -226,10 +258,26 @@ class TestSineProducts:
         with pytest.raises(ValueError):
             sine_half_product_log(1)
 
+    def test_slicing_is_exact(self):
+        # the bits of math.fsum over the same numpy terms, computed unsliced
+        for k in [*range(2, 1201), *(2 * c + p for c in _BOUNDARY_COUNTS for p in (0, 1)), 10**6]:
+            assert sine_half_product_log(k).hex() == math.fsum(_sine_terms(k).tolist()).hex(), k
+
+    def test_within_term_ulps_of_the_libm_loop(self):
+        # sin and log are each within an ulp in numpy and in libm.  An ulp of
+        # sin moves its log by at most 2^-52, and the two logs of one value
+        # differ by at most an ulp of the term; both sums round once, so they
+        # differ by at most those bounds plus an ulp of the result.
+        for k in range(2, 3001):
+            terms = _sine_terms(k)
+            bound = np.spacing(np.abs(terms)).sum() + terms.size * 2.0**-52
+            ours, libm = sine_half_product_log(k), sine_half_product_log_reference(k)
+            assert abs(ours - libm) <= bound + math.ulp(max(abs(ours), abs(libm))), k
+
     @pytest.mark.parametrize("fn", [sine_half_product_log, sine_product_residual])
     def test_capacity_limit_raises_before_any_term(self, monkeypatch, fn):
-        _refuse_scalar_math(monkeypatch)
-        over = MAX_SINE_ORDER + 1
+        _refuse_work(monkeypatch)
+        over = MAX_STREAM_ORDER + 1
         with pytest.raises(CapacityError, match=f"sine product order {over} exceeds budget"):
             fn(over)
 
@@ -259,10 +307,13 @@ class TestRowProduct:
             with pytest.raises(ValueError):
                 fn(1)
 
+    def test_bitwise_whole_row_reference(self):
+        for k in [*range(2, 3001), *(c + 1 for c in _BOUNDARY_COUNTS), 10**5]:
+            assert gamma_row_log_product(k).hex() == gamma_row_log_product_reference(k).hex(), k
+
     def test_capacity_limit_raises_before_the_row_is_built(self, monkeypatch):
-        monkeypatch.setattr(specfun, "ln_gamma", _refuse)
-        monkeypatch.setattr(specfun, "np", SimpleNamespace(arange=_refuse))
-        over = MAX_ROW_PRODUCT_ORDER + 1
+        _refuse_work(monkeypatch)
+        over = MAX_STREAM_ORDER + 1
         with pytest.raises(CapacityError, match=f"row product order {over} exceeds budget"):
             gamma_row_log_product(over)
 
@@ -303,8 +354,38 @@ class TestGammaIntegral:
         with pytest.raises(ValueError):
             gamma_integral_via_matrix(0)
 
+    def test_closed_partial_slicing_is_exact(self):
+        # the bits of math.fsum over the same numpy terms, computed unsliced
+        for n in [*range(1, 1201), *_BOUNDARY_COUNTS, 11059, 17500, 10**6]:
+            expected = closed_partial(n, math.fsum(_log_terms(n).tolist()))
+            assert gamma_integral_closed_partial(n).hex() == expected.hex(), n
+
+    def test_closed_partial_within_term_ulps_of_the_libm_loop(self):
+        # the two logs of one integer differ by at most an ulp of the term.
+        # The two sums, then the two numerators, each round once, by at most
+        # half an ulp of (n(n-1)/2) ln(2 pi); the quotients round once more.
+        for n in range(2, 3001):
+            log_gap = np.spacing(_log_terms(n)).sum() + 2 * math.ulp(0.5 * n * (n - 1) * LN_2PI)
+            ours, libm = gamma_integral_closed_partial(n), gamma_integral_closed_partial_reference(n)
+            assert abs(ours - libm) <= log_gap / (n * n) + math.ulp(max(ours, libm)), n
+
     def test_closed_partial_capacity_limit_raises_before_any_term(self, monkeypatch):
-        _refuse_scalar_math(monkeypatch)
-        over = MAX_CLOSED_PARTIAL_ORDER + 1
+        _refuse_work(monkeypatch)
+        over = MAX_STREAM_ORDER + 1
         with pytest.raises(CapacityError, match=f"closed-route order {over} exceeds budget"):
             gamma_integral_closed_partial(over)
+
+
+@pytest.mark.parametrize(
+    "route", [gamma_row_log_product, sine_half_product_log, gamma_integral_closed_partial]
+)
+def test_streamed_route_memory_stays_at_block_scale(route):
+    # one SUM_BLOCK slice and its temporaries, not the 10^6 terms (115 MiB
+    # for a whole ln Gamma row)
+    tracemalloc.start()
+    try:
+        route(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
