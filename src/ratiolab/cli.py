@@ -74,6 +74,17 @@ def _render_json(meta: dict, rows: list[dict]) -> str:
     return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
 
 
+def _largest_first(row: Callable[..., dict], values: Sequence) -> list[dict]:
+    """row(value) for each value, in the order given, computed from the last value down.
+
+    Every budget is a ceiling and every budgeted list is strictly increasing,
+    so a value past its budget raises before any other value's work.
+    """
+    rows = [row(value) for value in reversed(values)]
+    rows.reverse()
+    return rows
+
+
 def _run_norm(args) -> tuple[list[dict], dict]:
     reports = convergence_table(PRESETS[args.f], args.m, args.orders)
     rows = [
@@ -93,9 +104,12 @@ def _run_norm(args) -> tuple[list[dict], dict]:
 class _Sweep(NamedTuple):
     """One gamma --mode or hadamard --check: the option it sweeps, and how."""
     option: str  # dest of the swept option
-    parse: Callable[[str], tuple]  # argparse type: the rule each value must satisfy
+    item: Callable[[str], object]  # argparse type: the rule each value must satisfy
     row: Callable[..., dict]  # one output row per swept value
     default: Optional[tuple] = None  # values when the option is not given
+    # budgeted values are strictly increasing and run from the largest down;
+    # the unbudgeted points keep the order given
+    increasing: bool = True
 
 
 def _integral_row(n: int) -> dict:
@@ -122,31 +136,33 @@ def _rowproduct_row(k: int) -> dict:
 
 
 GAMMA_MODES = {
-    "integral": _Sweep("orders", _list(_at_least(1)), _integral_row, (2, 16, 128, 512)),
-    "rowproduct": _Sweep("orders", _list(_at_least(2)), _rowproduct_row, (2, 16, 128, 512)),
+    "integral": _Sweep("orders", _at_least(1), _integral_row, (2, 16, 128, 512)),
+    "rowproduct": _Sweep("orders", _at_least(2), _rowproduct_row, (2, 16, 128, 512)),
     "sine-odd": _Sweep(
         "orders",
-        _list(_at_least(1)),
+        _at_least(1),
         lambda n: {"n": n, "order": 2 * n + 1, "residual": specfun.sine_product_residual(2 * n + 1)},
         (1, 2, 50, 200),
     ),
     "sine-even": _Sweep(
         "orders",
-        _list(_at_least(1)),
+        _at_least(1),
         lambda n: {"n": n, "order": 2 * n, "residual": specfun.sine_product_residual(2 * n)},
         (1, 2, 50, 200),
     ),
     "reflection": _Sweep(
         "points",
-        _list(_number(float, "in (0, 1)", lambda s: 0.0 < s < 1.0), increasing=False),
+        _number(float, "in (0, 1)", lambda s: 0.0 < s < 1.0),
         lambda s: {"s": s, "residual": specfun.euler_reflection_residual(s)},
         tuple(k / 20 for k in range(1, 20)),
+        increasing=False,
     ),
     "duplication": _Sweep(
         "points",
-        _list(_number(float, "finite and > 0", lambda z: 0.0 < z < math.inf), increasing=False),
+        _number(float, "finite and > 0", lambda z: 0.0 < z < math.inf),
         lambda z: {"z": z, "residual": specfun.duplication_residual(z)},
         (0.5, 1.0, 2.0, 3.7, 10.0, 25.0),
+        increasing=False,
     ),
 }
 
@@ -155,53 +171,53 @@ def _run_gamma(args) -> tuple[list[dict], dict]:
     sweep = GAMMA_MODES[args.mode]
     values = getattr(args, sweep.option)
     meta = {"command": "gamma", "mode": args.mode, sweep.option: list(values)}
+    if sweep.increasing:
+        return _largest_first(sweep.row, values), meta
     return [sweep.row(value) for value in values], meta
 
 
 def _run_farey(args) -> tuple[list[dict], dict]:
     integrand = PRESETS[args.f]
     predicted = predict_limit(integrand, 1.0)
-    rows = []
-    for x in args.x:
+
+    def row(x: int) -> dict:
         sequence = farey_mod.farey_sequence(x)
         average = farey_mod.weyl_average(integrand, x)
-        rows.append(
-            {
-                "x": x,
-                "phi": sequence.count,
-                "average": average,
-                "predicted": predicted,
-                "abs_error": abs(average - predicted),
-                "coprime_density": farey_mod.coprime_density(x),
-            }
-        )
+        return {
+            "x": x,
+            "phi": sequence.count,
+            "average": average,
+            "predicted": predicted,
+            "abs_error": abs(average - predicted),
+            "coprime_density": farey_mod.coprime_density(x),
+        }
+
     meta = {"command": "farey", "integrand": args.f, "x": list(args.x)}
-    return rows, meta
+    return _largest_first(row, args.x), meta
 
 
 def _run_eigen(args) -> tuple[list[dict], dict]:
     integrand = PRESETS[args.f]
-    rows = []
-    for n in args.orders:
+
+    def row(n: int) -> dict:
         sums = eigen_mod.spectral_sum_report(integrand, n, tol=args.tol)
         frobenius_sq = norm_power(SampledMatrixSpec(integrand, n), 2.0)
-        rows.append(
-            {
-                "n": n,
-                "trace": sums.trace,
-                "trace_expected": n * float(integrand.eval(1.0)),
-                "sum_sq": sums.sum_sq,
-                "frobenius_sq": frobenius_sq,
-                "normalized_sum_sq": sums.normalized_sum_sq,
-            }
-        )
+        return {
+            "n": n,
+            "trace": sums.trace,
+            "trace_expected": n * float(integrand.eval(1.0)),
+            "sum_sq": sums.sum_sq,
+            "frobenius_sq": frobenius_sq,
+            "normalized_sum_sq": sums.normalized_sum_sq,
+        }
+
     meta = {
         "command": "eigen",
         "integrand": args.f,
         "orders": list(args.orders),
         "tol": args.tol,
     }
-    return rows, meta
+    return _largest_first(row, args.orders), meta
 
 
 def _oscillation_row(matrix: hadamard_mod.SignMatrix) -> dict:
@@ -216,23 +232,27 @@ def _oscillation_row(matrix: hadamard_mod.SignMatrix) -> dict:
 #: Each check reads its row off the Sylvester matrix of order 2^k.
 HADAMARD_CHECKS = {
     "orthogonality": _Sweep(
-        "k", _list(_at_least(0)), lambda matrix: {"is_hadamard": hadamard_mod.is_hadamard(matrix)}
+        "k", _at_least(0), lambda matrix: {"is_hadamard": hadamard_mod.is_hadamard(matrix)}
     ),
     # order 2^0 = 1 has no last two rows to compare
-    "oscillation": _Sweep("k", _list(_at_least(1)), _oscillation_row),
+    "oscillation": _Sweep("k", _at_least(1), _oscillation_row),
     "spectral": _Sweep(
         "k",
-        _list(_at_least(0)),
+        _at_least(0),
         lambda matrix: {"sum_sq": hadamard_mod.spectral_sum_sq(matrix), "order_sq": matrix.order**2},
     ),
 }
 
 
 def _run_hadamard(args) -> tuple[list[dict], dict]:
-    row = HADAMARD_CHECKS[args.check].row
-    matrices = ((k, hadamard_mod.sylvester(k)) for k in args.k)
-    rows = [{"k": k, "order": matrix.order, **row(matrix)} for k, matrix in matrices]
-    return rows, {"command": "hadamard", "check": args.check, "k": list(args.k)}
+    check = HADAMARD_CHECKS[args.check].row
+
+    def row(k: int) -> dict:
+        matrix = hadamard_mod.sylvester(k)
+        return {"k": k, "order": matrix.order, **check(matrix)}
+
+    meta = {"command": "hadamard", "check": args.check, "k": list(args.k)}
+    return _largest_first(row, args.k), meta
 
 
 def _parse_sweep(args: argparse.Namespace) -> None:
@@ -245,7 +265,8 @@ def _parse_sweep(args: argparse.Namespace) -> None:
             parser.error(f"argument --{option}: does not apply to --{selector} {choice}")
     text = getattr(args, sweep.option)
     try:
-        setattr(args, sweep.option, sweep.default if text is None else sweep.parse(text))
+        values = sweep.default if text is None else _list(sweep.item, sweep.increasing)(text)
+        setattr(args, sweep.option, values)
     except argparse.ArgumentTypeError as exc:
         parser.error(f"argument --{sweep.option}: {exc}")
 

@@ -10,9 +10,10 @@ over [0, 1].
 farey_sequence and weyl_average walk the coprime pairs the same way, one
 row per denominator c: the numerators b <= c with gcd(b, c) = 1, found
 without any gcd as the survivors of a boolean mask from which the multiples
-of each prime factor of c are cleared.  The average samples f at b/c row by
-row; farey_sequence keeps the exact integer pairs and uses b/c only as the
-key that sorts them.
+of each prime factor of c are cleared.  The average samples f at b/c in
+batches of consecutive rows, one integrand call per batch of at least
+SUM_BLOCK values; farey_sequence packs each pair into one exact int64 key
+that sorts in order of b/c, and unpacks the pairs from the sorted keys.
 
 Both the walk and totient_sieve need only the primes up to sqrt(x): every
 n <= x has at most one prime factor above sqrt(x), and it is what remains
@@ -28,15 +29,15 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, EvaluationError
-from .matrix_core import Integrand, exact_sum
+from .matrix_core import SUM_BLOCK, Integrand, exact_sum
 
 #: Largest sieve/table size accepted before raising CapacityError.
 MAX_SIEVE_LIMIT = 2_000_000
 #: Largest order farey_sequence materializes: Phi(5000) = 7.6M int64 pairs (116 MiB) take
-#: about 0.9 s and 390 MiB peak RSS to build in a fresh process (2-core x86).
+#: about 0.35-0.5 s and 261 MiB peak RSS to build in a fresh process (2-core x86).
 MAX_FAREY_ORDER = 5000
-#: Largest order weyl_average accepts: its O(x^2) samples take 1-1.5 s at x = 20000 for
-#: exp, identity and const1, and 5.5-6 s for lngamma (2-core x86).
+#: Largest order weyl_average accepts: its O(x^2) samples take 1.1-1.8 s at x = 20000 for
+#: exp, identity and const1, and about 6 s for lngamma (2-core x86).
 MAX_WEYL_ORDER = 20_000
 
 
@@ -103,8 +104,9 @@ def totient_sieve(x: int) -> TotientTable:
     if x > MAX_SIEVE_LIMIT:
         raise CapacityError(f"sieve limit {x} exceeds budget {MAX_SIEVE_LIMIT}")
     # phi(n) = n * prod (1 - 1/p) over the primes p | n, one exact division per p;
-    # rest[n] is n with every prime <= sqrt(x) divided out (int32 holds MAX_SIEVE_LIMIT)
-    phi = np.arange(x + 1, dtype=np.int64)
+    # rest[n] is n with every prime <= sqrt(x) divided out (int32 holds
+    # MAX_SIEVE_LIMIT, so phi is sieved in int32 too and widened by TotientTable)
+    phi = np.arange(x + 1, dtype=np.int32)
     rest = np.arange(x + 1, dtype=np.int32)
     for p in _small_primes(x):
         phi[p::p] -= phi[p::p] // p
@@ -113,11 +115,12 @@ def totient_sieve(x: int) -> TotientTable:
             rest[q::q] //= p
             q *= p
     # what is left above 1 is the one prime factor > sqrt(x); apply it in place,
-    # so the peak stays at phi, rest and the mask
-    big = rest > 1
-    np.floor_divide(phi, rest, out=rest, where=big)
-    np.subtract(phi, rest, out=phi, where=big)
-    del rest, big  # before TotientTable takes its private copy of phi
+    # with x + 1 > phi(n) standing in where nothing is left (and at the unused
+    # 0), so that the quotient there is 0
+    rest[rest <= 1] = x + 1
+    np.floor_divide(phi, rest, out=rest)
+    phi -= rest
+    del rest  # before TotientTable takes its private int64 copy of phi
     return TotientTable(phi)
 
 
@@ -130,8 +133,9 @@ def _coprime_rows(x: int) -> Iterator[tuple[int, np.ndarray]]:
     """(c, b) for each denominator c <= x, with b the ascending int64 array of
     the numerators b <= c with gcd(b, c) = 1."""
     primes = _small_primes(x)
+    ones = np.ones(x + 1, dtype=bool)
     for c in range(1, x + 1):
-        mask = np.ones(c + 1, dtype=bool)  # mask[b]: b is coprime to c
+        mask = ones[: c + 1].copy()  # mask[b]: b is coprime to c
         mask[0] = False
         rest = c
         for p in primes:
@@ -143,7 +147,7 @@ def _coprime_rows(x: int) -> Iterator[tuple[int, np.ndarray]]:
                     rest //= p
         if rest > 1:  # rest is prime: it has no factor <= sqrt(rest)
             mask[::rest] = False
-        yield c, np.flatnonzero(mask)
+        yield c, mask.nonzero()[0]
 
 
 def farey_sequence(x: int) -> FareySequence:
@@ -152,18 +156,34 @@ def farey_sequence(x: int) -> FareySequence:
         raise ValueError(f"x must be >= 1, got {x}")
     if x > MAX_FAREY_ORDER:
         raise CapacityError(f"Farey order {x} exceeds materialization budget {MAX_FAREY_ORDER}")
-    rows = [b for _, b in _coprime_rows(x)]
-    c = np.repeat(np.arange(1, x + 1, dtype=np.int64), [row.size for row in rows])
-    b = np.concatenate(rows)
-    del rows  # each temporary goes once used, so the peak stays at 3x pairs
-    # Sorting by the float b/c is exact: distinct fractions with c <= x differ
-    # by at least 1/x^2 >= 4e-8 (x <= MAX_FAREY_ORDER), far above the rounding
-    # error of at most 2^-54 in each quotient b/c <= 1, so no two keys tie or swap.
-    order = np.argsort(b / c)
-    pairs = np.empty((order.size, 2), dtype=np.int64)
-    pairs[:, 0] = b[order]
-    pairs[:, 1] = c[order]
-    del b, c, order  # before FareySequence takes its private copy of pairs
+    # Each pair is sorted as one exact int64 key (floor(b 2^s / c) << w) | c,
+    # with x < 2^w and s = 2w.  Distinct fractions with c <= x differ by at
+    # least 1/x^2 > 2^-s, so their floors strictly increase with b/c and the
+    # low w bits (c) never decide the order.  Unpacking, q = key >> w gives
+    # q c in (b 2^s - c, b 2^s], and c < 2^(s-1), so (q c + 2^(s-1)) >> s = b.
+    # Every value stays below 2^(3w+1) <= 2^40 for x <= MAX_FAREY_ORDER.
+    w = x.bit_length()
+    s = 2 * w
+    # Phi(x) <= x(x+1)/2 bounds the count; the tail past Phi(x) is never
+    # written, so it takes address space but no memory
+    key = np.empty(x * (x + 1) // 2, dtype=np.int64)
+    count = 0
+    for c, b in _coprime_rows(x):
+        row = key[count : count + b.size]
+        np.left_shift(b, s, out=row)
+        row //= c
+        row <<= w
+        row |= c
+        count += b.size
+    key = key[:count]
+    key.sort()
+    pairs = np.empty((key.size, 2), dtype=np.int64)
+    np.bitwise_and(key, (1 << w) - 1, out=pairs[:, 1])
+    key >>= w
+    key *= pairs[:, 1]
+    key += 1 << (s - 1)
+    np.right_shift(key, s, out=pairs[:, 0])
+    del key, row  # row views the key buffer; both go before FareySequence copies pairs
     return FareySequence(order=x, fractions=pairs)
 
 
@@ -171,11 +191,15 @@ def weyl_average(integrand: Integrand, x: int) -> float:
     """Mean of the integrand over the Farey fractions of order x.
 
     Samples the coprime rows farey_sequence sorts, one grid row per
-    denominator c <= x at the b/c with b <= c and gcd(b, c) = 1, and streams
-    them into exact_sum; that sum does not depend on the order of the
-    values, so the result is bit-identical to averaging over
-    farey_sequence(x).fractions.  Raises EvaluationError if the sum is not
-    finite, and CapacityError above MAX_WEYL_ORDER.
+    denominator c <= x at the b/c with b <= c and gcd(b, c) = 1, gathered
+    into batches of consecutive rows that each hold at least SUM_BLOCK
+    values (the last may hold fewer), one integrand call per batch, and
+    streams them into exact_sum; that sum depends neither on the order of
+    the values nor on their chunking, so the result is bit-identical to
+    averaging over farey_sequence(x).fractions.  A batch holds fewer than
+    SUM_BLOCK + x values, so the integrand's temporaries stay
+    O(SUM_BLOCK + x).  Raises EvaluationError if the sum is not finite, and
+    CapacityError above MAX_WEYL_ORDER.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
@@ -183,13 +207,25 @@ def weyl_average(integrand: Integrand, x: int) -> float:
         raise CapacityError(f"Weyl average order {x} exceeds budget {MAX_WEYL_ORDER}")
     count = 0
 
-    def rows() -> Iterator[np.ndarray]:
+    def batches() -> Iterator[np.ndarray]:
         nonlocal count
+        # rows are at most x long, so a batch of SUM_BLOCK or more fits;
+        # exact_sum copies each batch before it asks for the next one, so
+        # the points are refilled in place
+        points = np.empty(SUM_BLOCK + x)
+        size = 0
         for c, b in _coprime_rows(x):
-            count += b.size
-            yield integrand.eval(b / c)
+            np.divide(b, c, out=points[size : size + b.size])
+            size += b.size
+            if size >= SUM_BLOCK:
+                yield integrand.eval(points[:size])
+                count += size
+                size = 0
+        if size:
+            yield integrand.eval(points[:size])
+            count += size
 
-    total = exact_sum(rows())
+    total = exact_sum(batches())
     if not math.isfinite(total):
         raise EvaluationError(f"average of {integrand.label!r} over order {x} is not finite")
     return total / count

@@ -312,7 +312,8 @@ def convergence_table(
     """One NormReport per order, all against the same predict_limit value.
 
     Orders must be strictly increasing.  Nothing is emitted if any inner
-    computation fails.
+    computation fails; the reports are computed from the largest order
+    down, so an order past MAX_NORM_ORDER raises before any row is sampled.
     """
     orders = list(orders)
     if not orders:
@@ -320,6 +321,5 @@ def convergence_table(
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValueError(f"orders must be strictly increasing, got {orders}")
     predicted = predict_limit(integrand, m)
-    return [
-        norm_report(SampledMatrixSpec(integrand, n), m, predicted) for n in orders
-    ]
+    reports = [norm_report(SampledMatrixSpec(integrand, n), m, predicted) for n in orders[::-1]]
+    return reports[::-1]

@@ -94,6 +94,22 @@ def coprime_row(c: int) -> np.ndarray:
     return b[np.gcd(b, c) == 1]
 
 
+def farey_sequence_reference(x: int) -> np.ndarray:
+    """The Farey fractions of order x as ascending (b, c) rows of an int64
+    (count, 2) array, sorted by a float argsort of b/c.
+
+    The bit-for-bit reference of farey.farey_sequence, which sorts exact
+    integer keys.  Sorting by the float b/c is exact here too: distinct
+    fractions with c <= x differ by at least 1/x^2 (4e-8 at x = 5000), far
+    above the rounding error of at most 2^-54 in each quotient b/c <= 1.
+    """
+    rows = [coprime_row(c) for c in range(1, x + 1)]
+    c = np.repeat(np.arange(1, x + 1, dtype=np.int64), [row.size for row in rows])
+    b = np.concatenate(rows)
+    order = np.argsort(b / c)
+    return np.stack([b[order], c[order]], axis=1)
+
+
 def totient_direct(n: int) -> int:
     """Count residues 1 <= k <= n coprime to n."""
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)

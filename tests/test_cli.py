@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from ratiolab import eigen, farey, hadamard, matrix_core, specfun
 from ratiolab.cli import main
 from ratiolab.errors import MAX_JACOBI_ORDER
 from ratiolab.farey import MAX_FAREY_ORDER
@@ -320,3 +321,100 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ")
         assert not target.exists()
+
+
+def _refuse(*args, **kwargs):
+    pytest.fail("a swept value's work ran before the last value's budget was checked")
+
+
+class TestBudgetsCheckedFirst:
+    """A sweep whose last value is over budget fails before any value's work:
+    the patched function does the work of every value within budget."""
+
+    @pytest.mark.parametrize(
+        "argv,module,name,error",
+        [
+            (
+                ["norm", "--f", "lngamma", "--orders", f"8000,{MAX_NORM_ORDER + 1}"],
+                matrix_core,
+                "sample_row",
+                f"norm order {MAX_NORM_ORDER + 1} exceeds budget {MAX_NORM_ORDER}",
+            ),
+            (
+                ["gamma", "--mode", "integral", "--orders", f"2,{MAX_NORM_ORDER + 1}"],
+                matrix_core,
+                "sample_row",
+                f"norm order {MAX_NORM_ORDER + 1} exceeds budget {MAX_NORM_ORDER}",
+            ),
+            (
+                ["gamma", "--mode", "rowproduct", "--orders", f"2,{MAX_STREAM_ORDER + 1}"],
+                specfun,
+                "_grid",
+                f"row product order {MAX_STREAM_ORDER + 1} exceeds budget {MAX_STREAM_ORDER}",
+            ),
+            (
+                ["gamma", "--mode", "sine-odd", "--orders", f"2,{MAX_STREAM_ORDER // 2}"],
+                specfun,
+                "_grid",
+                f"sine product order {MAX_STREAM_ORDER + 1} exceeds budget {MAX_STREAM_ORDER}",
+            ),
+            (
+                ["gamma", "--mode", "sine-even", "--orders", f"2,{MAX_STREAM_ORDER // 2 + 1}"],
+                specfun,
+                "_grid",
+                f"sine product order {MAX_STREAM_ORDER + 2} exceeds budget {MAX_STREAM_ORDER}",
+            ),
+            (
+                ["farey", "--x", f"{MAX_FAREY_ORDER - 1},{MAX_FAREY_ORDER + 1}"],
+                farey,
+                "_coprime_rows",
+                f"Farey order {MAX_FAREY_ORDER + 1} exceeds materialization budget "
+                f"{MAX_FAREY_ORDER}",
+            ),
+            (
+                ["eigen", "--orders", f"256,{MAX_JACOBI_ORDER + 1}"],
+                eigen,
+                "sample_row",
+                f"order {MAX_JACOBI_ORDER + 1} exceeds Jacobi limit {MAX_JACOBI_ORDER}",
+            ),
+            (
+                ["hadamard", "--k", "10,12"],
+                hadamard,
+                "SignMatrix",
+                "order 2^12 exceeds dense limit 2048",
+            ),
+        ],
+        ids=["norm", "gamma-integral", "rowproduct", "sine-odd", "sine-even", "farey", "eigen",
+             "hadamard"],
+    )
+    def test_last_value_fails_before_any_work(self, capsys, monkeypatch, argv, module, name, error):
+        monkeypatch.setattr(module, name, _refuse)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {error}\n"
+
+    def test_points_keep_their_order(self, capsys):
+        # the reflection and duplication points have no budget: the first
+        # failing point is the one named
+        argv = ["gamma", "--mode", "duplication", "--points", "1e306,1e307"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err == "error: duplication residual is not finite at z = 1e+306\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["farey", "--x", "2,3,5"],
+            ["eigen", "--orders", "1,2,3"],
+            ["norm", "--orders", "1,2,3"],
+            ["gamma", "--mode", "rowproduct", "--orders", "2,3,4"],
+            ["hadamard", "--k", "0,1,2"],
+        ],
+        ids=["farey", "eigen", "norm", "rowproduct", "hadamard"],
+    )
+    def test_rows_come_in_the_order_given(self, capsys, argv):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        first = [row[next(iter(row))] for row in parse_csv(out)]
+        assert first == argv[-1].split(",")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratiolab import farey
 from ratiolab.errors import CapacityError, EvaluationError
 from ratiolab.farey import (
     MAX_FAREY_ORDER,
@@ -23,12 +24,13 @@ from ratiolab.farey import (
     weyl_average,
 )
 from ratiolab.integrands import CONST1, EXP, IDENTITY, PRESETS
-from ratiolab.matrix_core import Integrand
+from ratiolab.matrix_core import SUM_BLOCK, Integrand
 
 from oracles import (
     brute_farey,
     coprime_pair_count,
     coprime_row,
+    farey_sequence_reference,
     linear_totients,
     mobius,
     phi_by_mobius,
@@ -56,6 +58,13 @@ def around_squares(primes) -> list[int]:
 
 def pairs(sequence: FareySequence) -> list[tuple[int, int]]:
     return [(b, c) for b, c in sequence.fractions.tolist()]
+
+
+def reference_mean(integrand: Integrand, x: int) -> float:
+    """math.fsum of the integrand over the reference Farey fractions of order x, over their count."""
+    fractions = farey_sequence_reference(x)
+    values = integrand.eval(fractions[:, 0] / fractions[:, 1])
+    return math.fsum(values.tolist()) / fractions.shape[0]
 
 
 class TestTotientSieve:
@@ -91,14 +100,14 @@ class TestTotientSieve:
         assert totient_sieve(x).values.tolist() == linear_totients(x)
 
     def test_peak_memory_stays_near_the_result(self):
-        # phi, the int32 cofactors and one phi[p::p] temporary: 2x the table
+        # the int32 phi and cofactors, then the int64 table copied from phi: 1.5x the table
         tracemalloc.start()
         try:
             table = totient_sieve(10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * table.values.nbytes
+        assert peak <= 1.6 * table.values.nbytes
 
     def test_divisor_sum_identity(self):
         values = totient_sieve(200).values
@@ -197,23 +206,42 @@ class TestFareySequence:
                 assert b * previous[1] - previous[0] * c == 1
             previous = (b, c)
 
+    def test_matches_float_sort_reference_up_to_300(self):
+        for x in range(1, 301):
+            np.testing.assert_array_equal(farey_sequence(x).fractions, farey_sequence_reference(x))
+
+    @pytest.mark.parametrize(
+        "x",
+        # the key width w = x.bit_length() steps up at 4096
+        [*around_squares((2, 3, 7, 31)), 1000, 2000, 4095, 4096, 4097, MAX_FAREY_ORDER],
+    )
+    def test_matches_float_sort_reference(self, x):
+        fractions = farey_sequence(x).fractions
+        assert fractions.dtype == np.int64
+        np.testing.assert_array_equal(fractions, farey_sequence_reference(x))
+
+    @given(x=st.integers(min_value=1, max_value=3000))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_float_sort_reference_property(self, x):
+        np.testing.assert_array_equal(farey_sequence(x).fractions, farey_sequence_reference(x))
+
     def test_neighbor_determinants_vectorized(self):
-        # exact int64 determinants check the float b/c sort independently of
-        # brute_farey, which sorts by b/c as well
+        # exact int64 determinants check the integer-key sort independently
+        # of the references, which sort by the float b/c
         fractions = farey_sequence(2000).fractions
         b, c = fractions[:, 0], fractions[:, 1]
         assert np.all(b[1:] * c[:-1] - b[:-1] * c[1:] == 1)
         assert fractions.shape[0] == phi_summatory(2000)
 
     def test_peak_memory_stays_near_the_result(self):
-        # the gather into one preallocated array peaks at 3x the returned pairs
+        # the unpacked pairs and FareySequence's private copy: 2x the pairs
         tracemalloc.start()
         try:
             seq = farey_sequence(1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.25 * seq.fractions.nbytes
+        assert peak <= 2.25 * seq.fractions.nbytes
 
     def test_keeps_a_private_int64_copy(self):
         source = np.array([[1, 2], [1, 1]])
@@ -286,6 +314,44 @@ class TestWeylAverage:
             / sequence.count
         )
         assert weyl_average(integrand, x).hex() == materialized.hex()
+
+    @pytest.mark.parametrize("x", [328, 329, 330])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_batches_agree_bitwise_with_reference(self, name, x):
+        # the stream closes its first batch of SUM_BLOCK or more values at
+        # row 329: at 328 it is all tail, at 329 it ends on that batch, and
+        # at 330 one more row follows it
+        assert phi_summatory(328) < SUM_BLOCK <= phi_summatory(329)
+        assert weyl_average(PRESETS[name], x).hex() == reference_mean(PRESETS[name], x).hex()
+
+    @pytest.mark.parametrize("x", [40, 41])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_batch_of_exactly_sum_block_values(self, monkeypatch, name, x):
+        # with the batch size lowered to Phi(40), the first batch ends on
+        # exactly that many values at x = 40, and one row follows it at 41
+        block = phi_summatory(40)
+        monkeypatch.setattr(farey, "SUM_BLOCK", block)
+        sizes = []
+
+        def recording(t):
+            sizes.append(t.size)
+            return PRESETS[name].eval(t)
+
+        average = weyl_average(Integrand(eval=recording, label=name), x)
+        assert sizes == ([block] if x == 40 else [block, phi_summatory(41) - block])
+        assert average.hex() == reference_mean(PRESETS[name], x).hex()
+
+    def test_one_eval_call_per_batch(self):
+        sizes = []
+
+        def recording(t):
+            sizes.append(t.size)
+            return np.exp(t)
+
+        weyl_average(Integrand(eval=recording, label="recording"), 2000)
+        assert sum(sizes) == phi_summatory(2000)
+        assert all(size >= SUM_BLOCK for size in sizes[:-1])
+        assert all(size < SUM_BLOCK + 2000 for size in sizes)
 
     @pytest.mark.parametrize(
         "label,values",
