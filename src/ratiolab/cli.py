@@ -200,7 +200,7 @@ def _run_eigen(args) -> tuple[list[dict], dict]:
     integrand = PRESETS[args.f]
 
     def row(n: int) -> dict:
-        sums = eigen_mod.spectral_sum_report(integrand, n, tol=args.tol)
+        sums = eigen_mod.spectral_sum_report(integrand, n)
         frobenius_sq = norm_power(SampledMatrixSpec(integrand, n), 2.0)
         return {
             "n": n,
@@ -211,12 +211,7 @@ def _run_eigen(args) -> tuple[list[dict], dict]:
             "normalized_sum_sq": sums.normalized_sum_sq,
         }
 
-    meta = {
-        "command": "eigen",
-        "integrand": args.f,
-        "orders": list(args.orders),
-        "tol": args.tol,
-    }
+    meta = {"command": "eigen", "integrand": args.f, "orders": list(args.orders)}
     return _largest_first(row, args.orders), meta
 
 
@@ -307,11 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     eig = subparsers.add_parser("eigen", help="spectral sums of sampled matrices")
     eig.add_argument("--f", choices=sorted(PRESETS), default="exp")
     eig.add_argument("--orders", type=_list(_at_least(1)), default=(2, 16, 64))
-    eig.add_argument(
-        "--tol",
-        type=_number(float, "finite and > 0", lambda t: 0.0 < t < math.inf),
-        default=eigen_mod.DEFAULT_TOL,
-    )
     add_common(eig)
     eig.set_defaults(handler=_run_eigen)
 
@@ -337,7 +327,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-    except (ConvergenceError, QuadratureError, ValueError, IndexError, OSError) as exc:
+    except (ConvergenceError, QuadratureError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

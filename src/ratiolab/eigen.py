@@ -17,12 +17,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DENSE_LIMIT, MAX_JACOBI_ORDER, CapacityError, ConvergenceError
+from .errors import CapacityError, ConvergenceError
 from .matrix_core import Integrand, SampledMatrixSpec, exact_sum, sample_row
 
-DEFAULT_TOL = 1e-12
+#: Sweeps stop once the off-diagonal Frobenius norm is at most JACOBI_TOL * ||A||_F.
+JACOBI_TOL = 1e-12
 #: Sweeps jacobi_eigenvalues runs before it raises ConvergenceError.
 MAX_SWEEPS = 64
+#: Largest order the eigen path accepts: order 512 takes 13-24 s on a 2-core x86 machine.
+MAX_JACOBI_ORDER = 512
 
 
 @dataclass(frozen=True)
@@ -56,10 +59,13 @@ class EigenDecomposition:
 
 
 def materialize(spec: SampledMatrixSpec) -> DenseSymmetric:
-    """The sampled matrix: row k and column k hold f(j/k) for j <= k."""
+    """The sampled matrix: row k and column k hold f(j/k) for j <= k.
+
+    Raises CapacityError above MAX_JACOBI_ORDER before any row is sampled.
+    """
     n = spec.order
-    if n > DENSE_LIMIT:
-        raise CapacityError(f"order {n} exceeds dense limit {DENSE_LIMIT}")
+    if n > MAX_JACOBI_ORDER:
+        raise CapacityError(f"order {n} exceeds Jacobi limit {MAX_JACOBI_ORDER}")
     full = np.empty((n, n), dtype=np.float64)
     for k in range(1, n + 1):
         row = sample_row(spec.integrand, k)
@@ -115,7 +121,7 @@ def _pair_rotations(b: np.ndarray) -> np.ndarray:
     return np.stack((c, -s, s, c), axis=-1).reshape(-1, 2, 2)
 
 
-def jacobi_eigenvalues(matrix: DenseSymmetric, tol: float = DEFAULT_TOL) -> EigenDecomposition:
+def jacobi_eigenvalues(matrix: DenseSymmetric) -> EigenDecomposition:
     """Eigenvalues of a dense symmetric matrix by round-robin Jacobi rotations.
 
     Each step rotates n/2 disjoint pairs at once, as batched 2x2 products on
@@ -125,23 +131,21 @@ def jacobi_eigenvalues(matrix: DenseSymmetric, tol: float = DEFAULT_TOL) -> Eige
     row and column that is never rotated (its pair entry stays zero) and is
     dropped at the end, so a true zero eigenvalue is neither lost nor added.
 
-    Sweeps run until the off-diagonal Frobenius norm drops to tol times the
-    initial Frobenius norm of the whole matrix; raises ConvergenceError
-    (carrying the residual) if MAX_SWEEPS are exhausted first, and
-    CapacityError above MAX_JACOBI_ORDER.  Eigenvalues are returned
-    ascending.  Operates on a private working copy.
+    Sweeps run until the off-diagonal Frobenius norm drops to JACOBI_TOL
+    times the initial Frobenius norm of the whole matrix; raises
+    ConvergenceError (carrying the residual) if MAX_SWEEPS are exhausted
+    first, and CapacityError above MAX_JACOBI_ORDER.  Eigenvalues are
+    returned ascending.  Operates on a private working copy.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
     n = matrix.order
-    if n > MAX_JACOBI_ORDER:
+    if n > MAX_JACOBI_ORDER:  # a matrix not built by materialize
         raise CapacityError(f"order {n} exceeds Jacobi limit {MAX_JACOBI_ORDER}")
     b = np.pad(matrix.entries, (0, n % 2))
     m = b.shape[0]
     slots = np.arange(m)  # original index in each slot; index n is the bye
     move = _round_robin_move(m)
     flat_stride = 2 * (m + 1)
-    threshold = tol * math.sqrt(float(np.sum(b * b)))
+    threshold = JACOBI_TOL * math.sqrt(float(np.sum(b * b)))
     sweeps = 0
     while (residual := _off_diag_frobenius(b)) > threshold:
         if sweeps >= MAX_SWEEPS:
@@ -174,7 +178,7 @@ class SpectralSums(NamedTuple):
     normalized_sum_sq: float
 
 
-def spectral_sum_report(integrand: Integrand, n: int, tol: float = DEFAULT_TOL) -> SpectralSums:
+def spectral_sum_report(integrand: Integrand, n: int) -> SpectralSums:
     """Trace, sum of squared eigenvalues, and the n^2-normalized square sum.
 
     The trace equals n * f(1) (every diagonal entry is f(1)) and the square
@@ -182,8 +186,6 @@ def spectral_sum_report(integrand: Integrand, n: int, tol: float = DEFAULT_TOL) 
     the normalized square sum tends to the integral of f^2 as n grows.
     Raises CapacityError above MAX_JACOBI_ORDER before any row is sampled.
     """
-    if n > MAX_JACOBI_ORDER:
-        raise CapacityError(f"order {n} exceeds Jacobi limit {MAX_JACOBI_ORDER}")
-    lam = jacobi_eigenvalues(materialize(SampledMatrixSpec(integrand, n)), tol=tol).eigenvalues
+    lam = jacobi_eigenvalues(materialize(SampledMatrixSpec(integrand, n))).eigenvalues
     sum_sq = exact_sum([lam * lam])
     return SpectralSums(trace=exact_sum([lam]), sum_sq=sum_sq, normalized_sum_sq=sum_sq / (n * n))

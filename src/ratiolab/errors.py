@@ -1,15 +1,10 @@
-"""Exception types, and the two capacity limits (dense, Jacobi), shared across the package."""
+"""Exception types shared across the package; each budget lives with the code it bounds."""
 
 from __future__ import annotations
 
-#: Largest matrix order stored densely; larger orders raise CapacityError.
-DENSE_LIMIT = 2048
-#: Largest order jacobi_eigenvalues accepts: order 512 takes 13-24 s on a 2-core x86 machine.
-MAX_JACOBI_ORDER = 512
-
 
 class CapacityError(ValueError):
-    """Requested size exceeds the configured dense/memory budget."""
+    """Requested size exceeds one of the package's fixed budgets."""
 
 
 class EvaluationError(ValueError):

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DENSE_LIMIT, CapacityError
+from .errors import CapacityError
+
+#: Largest Sylvester order built; larger orders raise CapacityError.
+DENSE_LIMIT = 2048
 
 
 @dataclass(frozen=True)

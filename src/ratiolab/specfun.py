@@ -126,12 +126,15 @@ def euler_reflection_residual(s: float) -> float:
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"reflection requires 0 < s < 1, got {s!r}")
-    # an overflowing pi / sin(pi s) is reported below, not warned about
+    # an overflowing pi / sin(pi s) is reported below, not warned about.
+    # Near s = 1, rounding pi * s swamps the small 1 - s that sin(pi s)
+    # depends on; sin(pi (1 - s)) is the same value, and 1 - s is exact
+    # for s >= 1/2
     with np.errstate(over="ignore", invalid="ignore"):
         residual = (
             float(ln_gamma(s))
             + float(ln_gamma(1.0 - s))
-            - math.log(math.pi / math.sin(math.pi * s))
+            - math.log(math.pi / math.sin(math.pi * min(s, 1.0 - s)))
         )
     if not math.isfinite(residual):
         raise ValueError(f"reflection residual is not finite at s = {s!r}")

@@ -5,7 +5,7 @@ import pytest
 
 from ratiolab import eigen, farey, hadamard, matrix_core, specfun
 from ratiolab.cli import main
-from ratiolab.errors import MAX_JACOBI_ORDER
+from ratiolab.eigen import MAX_JACOBI_ORDER
 from ratiolab.farey import MAX_FAREY_ORDER
 from ratiolab.matrix_core import MAX_NORM_ORDER
 from ratiolab.specfun import MAX_STREAM_ORDER
@@ -189,6 +189,14 @@ PINNED_OUTPUTS = {
         "50,774,0.50064599483204131,0.5,0.00064599483204130781,0.61880000000000002\n"
         "500,76116,0.50000656892112039,0.5,6.5689211203867615e-06,0.60892400000000002\n"
     ),
+    # order 1 needs no Jacobi rotation
+    "eigen --f identity --orders 1 --format json": (
+        '{\n  "meta": {\n    "command": "eigen",\n    "integrand": "identity",\n'
+        '    "orders": [\n      1\n    ]\n  },\n'
+        '  "rows": [\n    {\n      "n": 1,\n      "trace": 1.0,\n      "trace_expected": 1.0,\n'
+        '      "sum_sq": 1.0,\n      "frobenius_sq": 1.0,\n      "normalized_sum_sq": 1.0\n'
+        "    }\n  ]\n}\n"
+    ),
     "hadamard --check orthogonality --k 0,1,2,3,4": (
         "k,order,is_hadamard\n0,1,true\n1,2,true\n2,4,true\n3,8,true\n4,16,true\n"
     ),
@@ -242,6 +250,7 @@ class TestExitCodes:
             ["gamma", "--mode", "sine-odd", "--orders", "0"],
             ["hadamard", "--check", "oscillation", "--k", "0,1"],
             ["norm", "--orders", "4", "--timestamp"],
+            ["eigen", "--tol", "1e-12"],
         ],
     )
     def test_usage_errors_exit_two(self, capsys, argv):

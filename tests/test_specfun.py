@@ -189,6 +189,16 @@ class TestReflection:
         for k in range(1, 20):
             assert abs(euler_reflection_residual(k / 20)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "s", [k / 20 for k in range(11, 20)] + [1 - 2**-30, 1 - 1e-10, 0.9999999999999999]
+    )
+    def test_symmetric_under_s_to_one_minus_s(self, s):
+        # 1 - s is exact for s >= 1/2, so both calls read the same ln Gamma
+        # values; only a reference term computed from the rounded pi * s
+        # would tell them apart
+        assert euler_reflection_residual(s).hex() == euler_reflection_residual(1.0 - s).hex()
+        assert abs(euler_reflection_residual(s)) <= 1e-12
+
     def test_domain_errors(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
