@@ -3,8 +3,8 @@
 A small laboratory around the symmetric matrices with entries
 f(min(i,j)/max(i,j)): streaming entrywise m-norms and their integral
 limits, a self-contained log-Gamma evaluator with its classical identity
-suite, Farey-sequence equidistribution, a round-robin Jacobi eigensolver for
-spectral sums, and the Hadamard last-two-rows oscillation bound.
+suite, Farey-sequence equidistribution, a Householder and Sturm-multisection
+eigensolver for spectral sums, and the Hadamard last-two-rows oscillation bound.
 """
 
 from .eigen import (
@@ -15,7 +15,7 @@ from .eigen import (
     materialize,
     spectral_sum_report,
 )
-from .errors import CapacityError, ConvergenceError, EvaluationError, QuadratureError
+from .errors import CapacityError, EvaluationError, QuadratureError
 from .farey import (
     FareySequence,
     TotientTable,
@@ -62,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "ConvergenceError",
     "DenseSymmetric",
     "EigenDecomposition",
     "EvaluationError",

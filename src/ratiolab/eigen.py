@@ -1,12 +1,11 @@
-"""Dense symmetric eigensolver (round-robin Jacobi) and spectral-sum checks.
+"""Dense symmetric eigenvalues and spectral-sum checks.
 
-The solver is a Jacobi iteration in the round-robin ordering of Brent and
-Luk: each step rotates n/2 disjoint index pairs at once as batched 2x2
-products, so numpy does the work of a whole step in a few calls.  It is
-short, robust and accuracy-friendly at desk scale, and independent of any
-external linear-algebra eigensolver, so the spectral sums it produces can
+The solver reduces the matrix to tridiagonal form by Householder reflections
+and brackets all n eigenvalues at once by Sturm-count multisection (Golub and
+Van Loan, Matrix Computations, 8.3.1 and 8.4.1; Barth, Martin and Wilkinson,
+Numer. Math. 1967).  It uses no external eigensolver, so its spectral sums can
 serve as one side of a dual-route check against direct entrywise summation
-(sum of eigenvalue squares equals the squared Frobenius norm).
+(the sum of eigenvalue squares equals the squared Frobenius norm).
 """
 
 from __future__ import annotations
@@ -17,15 +16,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError
+from .errors import CapacityError
 from .matrix_core import Integrand, SampledMatrixSpec, exact_sum, sample_row
 
-#: Sweeps stop once the off-diagonal Frobenius norm is at most JACOBI_TOL * ||A||_F.
-JACOBI_TOL = 1e-12
-#: Sweeps jacobi_eigenvalues runs before it raises ConvergenceError.
-MAX_SWEEPS = 64
-#: Largest order the eigen path accepts: order 512 takes 13-24 s on a 2-core x86 machine.
-MAX_JACOBI_ORDER = 512
+#: Largest order the eigen path accepts: the solver takes 2.7-3.1 s at order 1024 (2-core x86).
+MAX_EIGEN_ORDER = 1024
+#: Interior probes per bracket in one multisection step, which cuts the bracket 16-fold.
+_PROBES = 15
+#: Multisection steps before the loop stops: 14 reach the floor, one more absorbs rounding.
+_MAX_STEPS = 15
 
 
 @dataclass(frozen=True)
@@ -54,18 +53,17 @@ class DenseSymmetric:
 @dataclass(frozen=True)
 class EigenDecomposition:
     eigenvalues: np.ndarray  # ascending
-    sweeps_used: int
-    off_diag_residual: float
+    sweeps_used: int  # multisection steps, one Sturm pass each
 
 
 def materialize(spec: SampledMatrixSpec) -> DenseSymmetric:
     """The sampled matrix: row k and column k hold f(j/k) for j <= k.
 
-    Raises CapacityError above MAX_JACOBI_ORDER before any row is sampled.
+    Raises CapacityError above MAX_EIGEN_ORDER before any row is sampled.
     """
     n = spec.order
-    if n > MAX_JACOBI_ORDER:
-        raise CapacityError(f"order {n} exceeds Jacobi limit {MAX_JACOBI_ORDER}")
+    if n > MAX_EIGEN_ORDER:
+        raise CapacityError(f"order {n} exceeds eigen limit {MAX_EIGEN_ORDER}")
     full = np.empty((n, n), dtype=np.float64)
     for k in range(1, n + 1):
         row = sample_row(spec.integrand, k)
@@ -74,102 +72,106 @@ def materialize(spec: SampledMatrixSpec) -> DenseSymmetric:
     return DenseSymmetric(full)
 
 
-def _off_diag_frobenius(b: np.ndarray) -> float:
-    # summed directly over off-diagonal entries: subtracting diagonal squares
-    # from the total cancels catastrophically once the residual nears
-    # sqrt(eps) * ||B||_F and would stall the convergence test
-    off = b.copy()
-    np.fill_diagonal(off, 0.0)
-    return math.sqrt(float(np.sum(off * off)))
+def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d and edges = (0, e, 0) of a tridiagonal matrix similar to the symmetric
+    a (overwritten), by n - 2 Householder reflections, each one matvec and one
+    rank-2 update; a row already tridiagonal is not reflected, so zeros stay."""
+    n = a.shape[0]
+    edges = np.zeros(n + 1)
+    for k in range(n - 1):
+        x = a[k, k + 1 :]
+        if not x[1:].any():
+            edges[k + 1] = x[0]
+            continue
+        # v is built from x / max|x|, so no square in it underflows
+        size = float(np.max(np.abs(x)))
+        v = x / size
+        mu = math.sqrt(v @ v)
+        edges[k + 1] = -math.copysign(mu * size, x[0])
+        v[0] += math.copysign(mu, v[0])
+        v /= math.sqrt(v @ v)
+        # (I - 2 v v^T) B (I - 2 v v^T) = B - v w^T - w v^T, w = 2 (p - (v . p) v), p = B v
+        block = a[k + 1 :, k + 1 :]
+        p = block @ v
+        w = 2.0 * (p - (v @ p) * v)
+        block -= np.outer(v, w) + np.outer(w, v)
+    return np.diagonal(a).copy(), edges
 
 
-def _round_robin_move(m: int) -> np.ndarray:
-    """Slot permutation from one round-robin pairing to the next (m even).
+def _sturm_counts(rows: list, pivmin: float, x: np.ndarray) -> np.ndarray:
+    """Eigenvalues below each x of the tridiagonal with rows (d_i, e^2_{i-1}),
+    e^2_{-1} = 0: the negative pivots q_i = (d_i - x) - e^2_{i-1} / q_{i-1} of
+    T - x.  A pivot <= pivmin counts as negative and becomes -pivmin before
+    the next step, so no pivot is zero (Barth, Martin and Wilkinson, 1967)."""
+    count = np.zeros(x.shape, dtype=np.intp)
+    negative = np.empty(x.shape, dtype=bool)
+    shifted = np.empty_like(x)
+    q = np.ones_like(x)
+    for d_i, e2_i in rows:
+        np.divide(e2_i, q, out=q)
+        np.subtract(d_i, x, out=shifted)
+        np.subtract(shifted, q, out=q)
+        np.less_equal(q, pivmin, out=negative)
+        np.minimum(q, -pivmin, out=q, where=negative)
+        count += negative
+    return count
 
-    Slots 2i and 2i+1 hold pair i, so the even slots are the top row of the
-    circle method and the odd slots its bottom row.  Slot 0 stays put and
-    every other index moves one place around the circle: the top row shifts
-    right, the bottom row shifts left, and the row ends turn over.  After
-    m - 1 moves every two indices have been paired exactly once.
-    """
-    move = np.arange(m)
-    if m > 2:
-        move[2] = 1
-        move[4::2] = np.arange(2, m - 2, 2)
-        move[1 : m - 2 : 2] = np.arange(3, m, 2)
-        move[m - 1] = m - 2
-    return move
 
-
-def _pair_rotations(b: np.ndarray) -> np.ndarray:
-    """Jacobi rotations, shape (m/2, 2, 2), annihilating each (2i, 2i+1) entry."""
-    m = b.shape[0]
-    flat = b.reshape(-1)
-    stride = 2 * (m + 1)
-    apq = flat[1::stride]
-    diff = flat[m + 1 :: stride] - flat[::stride]
-    # skipped: apq == 0 (it fails the test as well), and angles below float
-    # resolution, where annihilating the pair directly perturbs eigenvalues
-    # by at most 2|apq|.  theta = inf gives t = 0, i.e. c = 1 and s = 0.
-    rotate = np.abs(apq) > 1e-300 * np.abs(diff)
-    theta = np.divide(diff, 2.0 * apq, out=np.full(apq.shape, np.inf), where=rotate)
-    # hypot keeps theta^2 from overflowing: past |theta| ~ 1e8 it returns
-    # |theta|, so t is exactly the large-angle limit 1 / (2 theta)
-    t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
-    c = 1.0 / np.hypot(t, 1.0)
-    s = t * c
-    return np.stack((c, -s, s, c), axis=-1).reshape(-1, 2, 2)
+def _multisection(d: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, int]:
+    """Every eigenvalue of the tridiagonal (d, edges = (0, e, 0)), ascending,
+    and the multisection steps taken.  Each step probes every distinct bracket
+    at _PROBES points in one Sturm pass and keeps, for eigenvalue j, the part
+    with at most j and more than j eigenvalues below its ends, until every
+    bracket is within 2 eps of its ends plus the floor eps ||T||: from the
+    Gershgorin width 2 ||T||, at most ceil(53 / 4) = 14 steps."""
+    e2 = edges[:-1] ** 2
+    radius = np.abs(edges[:-1]) + np.abs(edges[1:])
+    # low <= 0 <= high (initial=0.0 also serves an empty d) and lo <= hi below,
+    # so max(-low, high) and max(-lo, hi) are the largest magnitudes
+    low, high = float(np.min(d - radius, initial=0.0)), float(np.max(d + radius, initial=0.0))
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    floor = eps * max(-low, high)
+    # pivmin keeps every e^2 / q below 1 / tiny; the pad keeps every
+    # eigenvalue inside the first bracket despite rounding in the counts
+    pivmin = tiny * max(1.0, float(np.max(e2, initial=0.0)))
+    pad = 2.0 * d.size * floor + 4.0 * pivmin
+    lo, hi = np.full(d.size, low - pad), np.full(d.size, high + pad)
+    j = np.arange(d.size)[:, None]
+    rows = list(zip(d.tolist(), e2.tolist()))
+    fractions = np.arange(_PROBES + 2) / (_PROBES + 1)
+    steps = 0
+    while steps < _MAX_STEPS and np.any(hi - lo > 2.0 * eps * np.maximum(-lo, hi) + floor):
+        steps += 1
+        # brackets ascend with j, so equal brackets are neighbours: probe each once
+        first = np.append(True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]))
+        owner = np.cumsum(first) - 1
+        grid = lo[first, None] + (hi - lo)[first, None] * fractions
+        grid[:, -1] = hi[first]
+        counts = _sturm_counts(rows, pivmin, grid[:, 1:-1])
+        below = np.count_nonzero(counts[owner] <= j, axis=1)
+        lo, hi = grid[owner, below], grid[owner, below + 1]
+    return lo + 0.5 * (hi - lo), steps
 
 
 def jacobi_eigenvalues(matrix: DenseSymmetric) -> EigenDecomposition:
-    """Eigenvalues of a dense symmetric matrix by round-robin Jacobi rotations.
-
-    Each step rotates n/2 disjoint pairs at once, as batched 2x2 products on
-    the rows and then the columns, and moves to the next pairing of the
-    round-robin (circle-method) ordering of Brent and Luk (1985); a sweep of
-    n - 1 steps visits every pair once.  An odd order gets a bye: a zero
-    row and column that is never rotated (its pair entry stays zero) and is
-    dropped at the end, so a true zero eigenvalue is neither lost nor added.
-
-    Sweeps run until the off-diagonal Frobenius norm drops to JACOBI_TOL
-    times the initial Frobenius norm of the whole matrix; raises
-    ConvergenceError (carrying the residual) if MAX_SWEEPS are exhausted
-    first, and CapacityError above MAX_JACOBI_ORDER.  Eigenvalues are
-    returned ascending.  Operates on a private working copy.
-    """
+    """Eigenvalues of a dense symmetric matrix, ascending, by Householder
+    tridiagonalization and Sturm-count multisection, on a private copy scaled
+    by the least power of two above max |a_ij| (exact, and it keeps squares
+    and pivots in range).  A tridiagonal entry with zero neighbours is an
+    eigenvalue as it stands; the others come to within a few ulp or eps ||A||.
+    sweeps_used counts multisection steps.  Raises CapacityError above
+    MAX_EIGEN_ORDER."""
     n = matrix.order
-    if n > MAX_JACOBI_ORDER:  # a matrix not built by materialize
-        raise CapacityError(f"order {n} exceeds Jacobi limit {MAX_JACOBI_ORDER}")
-    b = np.pad(matrix.entries, (0, n % 2))
-    m = b.shape[0]
-    slots = np.arange(m)  # original index in each slot; index n is the bye
-    move = _round_robin_move(m)
-    flat_stride = 2 * (m + 1)
-    threshold = JACOBI_TOL * math.sqrt(float(np.sum(b * b)))
-    sweeps = 0
-    while (residual := _off_diag_frobenius(b)) > threshold:
-        if sweeps >= MAX_SWEEPS:
-            raise ConvergenceError(
-                f"Jacobi did not converge in {MAX_SWEEPS} sweeps "
-                f"(off-diagonal residual {residual:.3e}, threshold {threshold:.3e})",
-                residual=residual,
-            )
-        for _ in range(m - 1):
-            g = _pair_rotations(b)
-            b = (g @ b.reshape(-1, 2, m)).reshape(m, m)
-            # the column rotation is the row rotation of the transpose; the
-            # matrix is symmetric, so its transpose is kept as the new matrix
-            b = (g @ b.T.reshape(-1, 2, m)).reshape(m, m)
-            # the rotations annihilate the pair entries analytically
-            flat = b.reshape(-1)
-            flat[1::flat_stride] = 0.0
-            flat[m::flat_stride] = 0.0
-            b = b.take(move, axis=0).take(move, axis=1)
-            slots = slots[move]
-        sweeps += 1
-    eigenvalues = np.sort(np.diagonal(b)[slots < n])
+    if n > MAX_EIGEN_ORDER:  # a matrix not built by materialize
+        raise CapacityError(f"order {n} exceeds eigen limit {MAX_EIGEN_ORDER}")
+    shift = math.frexp(float(np.max(np.abs(matrix.entries), initial=0.0)))[1]
+    d, edges = _tridiagonalize(np.ldexp(matrix.entries, -shift))
+    coupled = np.flatnonzero((edges[:-1] != 0.0) | (edges[1:] != 0.0))
+    # edges[c + 1] joins c to c + 1, and is 0 where c + 1 is a lone entry or n
+    values, steps = _multisection(d[coupled], np.append(0.0, edges[coupled + 1]))
+    eigenvalues = np.ldexp(np.sort(np.concatenate((np.delete(d, coupled), values))), shift)
     eigenvalues.flags.writeable = False
-    return EigenDecomposition(eigenvalues, sweeps_used=sweeps, off_diag_residual=residual)
+    return EigenDecomposition(eigenvalues, sweeps_used=steps)
 
 
 class SpectralSums(NamedTuple):
@@ -184,7 +186,7 @@ def spectral_sum_report(integrand: Integrand, n: int) -> SpectralSums:
     The trace equals n * f(1) (every diagonal entry is f(1)) and the square
     sum equals the squared Frobenius norm, i.e. the entrywise 2-norm power;
     the normalized square sum tends to the integral of f^2 as n grows.
-    Raises CapacityError above MAX_JACOBI_ORDER before any row is sampled.
+    Raises CapacityError above MAX_EIGEN_ORDER before any row is sampled.
     """
     lam = jacobi_eigenvalues(materialize(SampledMatrixSpec(integrand, n))).eigenvalues
     sum_sq = exact_sum([lam * lam])

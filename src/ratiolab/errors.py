@@ -13,11 +13,3 @@ class EvaluationError(ValueError):
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature exhausted its subdivision budget."""
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative solver failed to reach its tolerance within the sweep budget."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual

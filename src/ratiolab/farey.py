@@ -81,6 +81,14 @@ class FareySequence:
         a.flags.writeable = False
         object.__setattr__(self, "fractions", a)
 
+    @classmethod
+    def _adopt(cls, order: int, fractions: np.ndarray) -> FareySequence:
+        """Freeze and keep, uncopied, an int64 (count, 2) array no one else holds."""
+        fractions.flags.writeable = False
+        sequence = object.__new__(cls)  # skips __post_init__ and its copy
+        sequence.__dict__.update(order=order, fractions=fractions)
+        return sequence
+
     @property
     def count(self) -> int:
         return self.fractions.shape[0]
@@ -183,8 +191,7 @@ def farey_sequence(x: int) -> FareySequence:
     key *= pairs[:, 1]
     key += 1 << (s - 1)
     np.right_shift(key, s, out=pairs[:, 0])
-    del key, row  # row views the key buffer; both go before FareySequence copies pairs
-    return FareySequence(order=x, fractions=pairs)
+    return FareySequence._adopt(x, pairs)
 
 
 def weyl_average(integrand: Integrand, x: int) -> float:

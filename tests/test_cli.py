@@ -5,7 +5,7 @@ import pytest
 
 from ratiolab import eigen, farey, hadamard, matrix_core, specfun
 from ratiolab.cli import main
-from ratiolab.eigen import MAX_JACOBI_ORDER
+from ratiolab.eigen import MAX_EIGEN_ORDER
 from ratiolab.farey import MAX_FAREY_ORDER
 from ratiolab.matrix_core import MAX_NORM_ORDER
 from ratiolab.specfun import MAX_STREAM_ORDER
@@ -189,7 +189,7 @@ PINNED_OUTPUTS = {
         "50,774,0.50064599483204131,0.5,0.00064599483204130781,0.61880000000000002\n"
         "500,76116,0.50000656892112039,0.5,6.5689211203867615e-06,0.60892400000000002\n"
     ),
-    # order 1 needs no Jacobi rotation
+    # order 1 is a lone diagonal entry: no reduction and no multisection step
     "eigen --f identity --orders 1 --format json": (
         '{\n  "meta": {\n    "command": "eigen",\n    "integrand": "identity",\n'
         '    "orders": [\n      1\n    ]\n  },\n'
@@ -265,11 +265,10 @@ class TestExitCodes:
         assert "error" in err.lower()
 
     def test_eigen_beyond_jacobi_limit_exits_one(self, capsys):
-        code, out, err = run_cli(capsys, ["eigen", "--orders", str(MAX_JACOBI_ORDER + 1)])
+        code, out, err = run_cli(capsys, ["eigen", "--orders", str(MAX_EIGEN_ORDER + 1)])
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ")
-        assert "Jacobi limit" in err
+        assert err == f"error: order {MAX_EIGEN_ORDER + 1} exceeds eigen limit {MAX_EIGEN_ORDER}\n"
 
     def test_farey_beyond_capacity_exits_one(self, capsys):
         code, out, err = run_cli(capsys, ["farey", "--x", str(MAX_FAREY_ORDER + 1)])
@@ -381,10 +380,10 @@ class TestBudgetsCheckedFirst:
                 f"{MAX_FAREY_ORDER}",
             ),
             (
-                ["eigen", "--orders", f"256,{MAX_JACOBI_ORDER + 1}"],
+                ["eigen", "--orders", f"{MAX_EIGEN_ORDER // 2},{MAX_EIGEN_ORDER + 1}"],
                 eigen,
                 "sample_row",
-                f"order {MAX_JACOBI_ORDER + 1} exceeds Jacobi limit {MAX_JACOBI_ORDER}",
+                f"order {MAX_EIGEN_ORDER + 1} exceeds eigen limit {MAX_EIGEN_ORDER}",
             ),
             (
                 ["hadamard", "--k", "10,12"],

@@ -3,21 +3,27 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ratiolab import eigen
 from ratiolab.eigen import (
-    JACOBI_TOL,
-    MAX_JACOBI_ORDER,
+    MAX_EIGEN_ORDER,
     DenseSymmetric,
     jacobi_eigenvalues,
     materialize,
     spectral_sum_report,
 )
-from ratiolab.errors import CapacityError, ConvergenceError
+from ratiolab.errors import CapacityError
+from ratiolab.hadamard import sylvester
 from ratiolab.integrands import EXP, IDENTITY, LNGAMMA, PRESETS
 from ratiolab.matrix_core import Integrand, SampledMatrixSpec, matrix_entry, norm_power
 
 E = math.e
+#: Multisection steps that take a bracket from the Gershgorin width 2 ||T|| to the
+#: floor eps ||T||: each step cuts it 16-fold, and 2 / eps = 2^53.
+STEP_BOUND = math.ceil((np.finfo(np.float64).nmant + 1) / 4)
 
 #: Orders of the closed-form oracle for the identity kernel, one doubling apart.
 ORACLE_ORDERS = (64, 128, 256)
@@ -52,8 +58,8 @@ class TestMaterialize:
             raise AssertionError("a row was sampled")
 
         monkeypatch.setattr(eigen, "sample_row", unsampled)
-        n = MAX_JACOBI_ORDER + 1
-        with pytest.raises(CapacityError, match=f"order {n} exceeds Jacobi limit"):
+        n = MAX_EIGEN_ORDER + 1
+        with pytest.raises(CapacityError, match=f"order {n} exceeds eigen limit"):
             materialize(SampledMatrixSpec(EXP, n))
 
     @pytest.mark.parametrize("n", [5, 33])
@@ -109,7 +115,11 @@ class TestJacobi:
         result = jacobi_eigenvalues(DenseSymmetric(np.diag([1.0, 2.0])))
         np.testing.assert_allclose(result.eigenvalues, [1.0, 2.0], rtol=0, atol=0)
         assert result.sweeps_used == 0
-        assert result.off_diag_residual == 0.0
+        # split at the exact zeros: every lone diagonal entry comes back bit for bit
+        diagonal = [0.1, -3.0, 0.0, 2.0**-40, 7.25]
+        result = jacobi_eigenvalues(DenseSymmetric(np.diag(diagonal)))
+        assert result.eigenvalues.tolist() == sorted(diagonal)
+        assert result.sweeps_used == 0
 
     def test_antidiagonal_two_by_two(self):
         result = jacobi_eigenvalues(DenseSymmetric(np.array([[0.0, 1.0], [1.0, 0.0]])))
@@ -122,42 +132,92 @@ class TestJacobi:
         np.testing.assert_allclose(result.eigenvalues, expected, rtol=1e-12)
 
     def test_eigenvalues_ascending_and_residual_bounded(self):
+        # the residuals of the trace and of the squared Frobenius norm, which
+        # the reduction to tridiagonal form preserves
         dense = materialize(SampledMatrixSpec(EXP, 48))
-        result = jacobi_eigenvalues(dense)
-        assert np.all(np.diff(result.eigenvalues) >= 0)
-        initial = math.sqrt(float(np.sum(dense.entries**2)))
-        assert result.off_diag_residual <= JACOBI_TOL * initial
+        lam = jacobi_eigenvalues(dense).eigenvalues
+        assert np.all(np.diff(lam) >= 0)
+        fro_sq = math.fsum((dense.entries**2).ravel().tolist())
+        assert abs(math.fsum(lam.tolist()) - 48 * E) <= 1e-13 * math.sqrt(fro_sq)
+        assert abs(math.fsum((lam * lam).tolist()) - fro_sq) <= 1e-13 * fro_sq
 
-    def test_non_convergence_carries_residual(self, monkeypatch):
-        monkeypatch.setattr(eigen, "MAX_SWEEPS", 0)
-        dense = materialize(SampledMatrixSpec(EXP, 8))
-        with pytest.raises(ConvergenceError, match="in 0 sweeps") as excinfo:
-            jacobi_eigenvalues(dense)
-        assert excinfo.value.residual > 0.0
+    @pytest.mark.parametrize(
+        "full",
+        [
+            np.array([[0.0, 1e308], [1e308, 0.0]]),
+            np.ones((7, 7)),
+            np.diag([1.0, 2.0]) + np.diag([1e-300], 1) + np.diag([1e-300], -1),
+        ],
+        ids=["antidiagonal-1e308", "ones7", "tiny-coupling"],
+    )
+    def test_steps_stay_within_their_bound(self, full):
+        assert jacobi_eigenvalues(DenseSymmetric(full)).sweeps_used <= STEP_BOUND
 
     def test_capacity_limit_raises_at_once(self):
-        n = MAX_JACOBI_ORDER + 1
-        with pytest.raises(CapacityError, match=f"order {n} exceeds Jacobi limit"):
+        n = MAX_EIGEN_ORDER + 1
+        with pytest.raises(CapacityError, match=f"order {n} exceeds eigen limit"):
             jacobi_eigenvalues(DenseSymmetric(np.zeros((n, n))))
 
     @pytest.mark.parametrize(
-        "apq, zero_exactly",
-        [(1e-160, False), (1e-310, True)],
-        ids=["large-angle", "below-angle-resolution"],
+        "coupling", [1e-160, 1e-310], ids=["square-subnormal", "square-underflows"]
     )
-    def test_tiny_pair_next_to_a_rotated_pair(self, apq, zero_exactly):
-        # the pair (1, 2) has diff = 1: at apq = 1e-160, theta = 5e159 and
-        # theta^2 overflows, so t is the large-angle limit 1 / (2 theta); at
-        # 1e-310, |apq| <= 1e-300 |diff| and the pair is zeroed, not rotated.
-        # The pair (3, 4) keeps the matrix from counting as converged.
+    def test_tiny_coupling_next_to_a_coupled_block(self, coupling):
+        # the eigenvalue near 0 is -coupling^2: at 1e-160 its square is
+        # subnormal, at 1e-310 it underflows to 0 in the Sturm recurrence
         full = np.zeros((4, 4))
-        full[:2, :2] = [[0.0, apq], [apq, 1.0]]
+        full[:2, :2] = [[0.0, coupling], [coupling, 1.0]]
         full[2:, 2:] = [[2.0, 1.0], [1.0, 2.0]]
         result = jacobi_eigenvalues(DenseSymmetric(full))
-        assert result.sweeps_used == 1
         np.testing.assert_allclose(result.eigenvalues, [0.0, 1.0, 1.0, 3.0], rtol=0, atol=1e-15)
-        assert abs(result.eigenvalues[0]) <= 1e-300
-        assert (result.eigenvalues[0] == 0.0) == zero_exactly
+
+    @pytest.mark.parametrize("t", [1e-155, 1e-160, 1e-170])
+    def test_tiny_row_is_reflected_without_underflow(self, t):
+        # the first row's tail is reflected away; the squares of its entries
+        # are subnormal or 0, so the reflector is built from the row / max|row|
+        full = np.array([[1.0, t, t], [t, 1.0, 0.5], [t, 0.5, 1.0]])
+        got = jacobi_eigenvalues(DenseSymmetric(full)).eigenvalues
+        np.testing.assert_allclose(got, [0.5, 1.0, 1.5], rtol=0, atol=1e-15 * np.linalg.norm(full))
+
+    @pytest.mark.parametrize("s", [1e308, 1e200, 1e-200, 1e-310])
+    def test_antidiagonal_at_extreme_scales(self, s):
+        # s^2 overflows at 1e200 and underflows at 1e-200; the scaled solver squares neither
+        lam = jacobi_eigenvalues(DenseSymmetric(np.array([[0.0, s], [s, 0.0]]))).eigenvalues
+        np.testing.assert_allclose(lam, [-s, s], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_order_two_closed_form_for_every_preset(self, name):
+        # [[a, b], [b, a]] has the eigenvalues a -/+ |b|; for lngamma (a = 0)
+        # and const1 (a = b) the first bracket's midpoint is a, where the
+        # first Sturm pivot is exactly 0
+        full = materialize(SampledMatrixSpec(PRESETS[name], 2)).entries
+        a, b = full[0, 0], abs(full[0, 1])
+        got = jacobi_eigenvalues(DenseSymmetric(full)).eigenvalues
+        np.testing.assert_allclose(got, [a - b, a + b], rtol=0, atol=1e-15 * math.hypot(a, b))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_sylvester_spectrum(self, k):
+        # H H^T = n I and H is symmetric: -sqrt(n) and sqrt(n), each n / 2 times
+        n = 2**k
+        lam = jacobi_eigenvalues(DenseSymmetric(sylvester(k).entries)).eigenvalues
+        expected = np.repeat([-math.sqrt(n), math.sqrt(n)], n // 2)
+        np.testing.assert_allclose(lam, expected, rtol=0, atol=1e-15 * n)
+
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_eigvalsh_on_random_symmetric_matrices(self, data, n):
+        # hypothesis fills most of the array with one repeated value; some rows
+        # and columns are then zeroed
+        values = st.one_of(st.sampled_from([0.0, 1.0, -0.5]), st.floats(-1e3, 1e3))
+        upper = data.draw(hnp.arrays(np.float64, (n, n), elements=values))
+        full = np.triu(upper) + np.triu(upper, 1).T
+        zero = data.draw(hnp.arrays(bool, n))
+        full[zero, :] = 0.0
+        full[:, zero] = 0.0
+        result = jacobi_eigenvalues(DenseSymmetric(full))
+        top = float(np.max(np.abs(full)))  # ||A||_F from A / top, whose squares cannot underflow
+        bound = 1e-13 * top * float(np.linalg.norm(full / top)) if top else 0.0
+        assert float(np.max(np.abs(result.eigenvalues - np.linalg.eigvalsh(full)))) <= bound
+        assert result.sweeps_used <= STEP_BOUND
 
     @pytest.mark.parametrize("integrand", [EXP, LNGAMMA, IDENTITY])
     @pytest.mark.parametrize("n", [2, 16, 64])
@@ -193,16 +253,15 @@ class TestJacobi:
         ],
     )
     def test_eigenvalues_against_eigvalsh(self, integrand, n):
-        # At the stopping residual r <= tol * ||A||_F, Weyl's inequality puts
-        # every diagonal entry within r of its eigenvalue; the factor 2 leaves
-        # room for rounding in the rotations.
+        # both solvers are backward stable: measured worst 1.6e-15 ||A||_F
         dense = materialize(SampledMatrixSpec(integrand, n))
         full = dense.entries
-        bound = 2.0 * JACOBI_TOL * math.sqrt(float(np.sum(full * full)))
-        got = jacobi_eigenvalues(dense).eigenvalues
+        bound = 1e-13 * math.sqrt(float(np.sum(full * full)))
+        result = jacobi_eigenvalues(dense)
         expected = np.linalg.eigvalsh(full)
-        assert got.shape == (n,)
-        assert float(np.max(np.abs(got - expected))) <= bound
+        assert result.eigenvalues.shape == (n,)
+        assert float(np.max(np.abs(result.eigenvalues - expected))) <= bound
+        assert result.sweeps_used <= STEP_BOUND
 
     @pytest.mark.parametrize(
         "full",
@@ -244,12 +303,12 @@ class TestSpectralSumReport:
         assert sums.sum_sq == pytest.approx(entrywise, rel=1e-8)
         assert abs(sums.normalized_sum_sq - (E**2 - 1) / 2) <= 0.1
 
-    @pytest.mark.parametrize("n", [MAX_JACOBI_ORDER + 1, 2048, 4096])
+    @pytest.mark.parametrize("n", [MAX_EIGEN_ORDER + 1, 2048, 4096])
     def test_capacity_limit_raises_before_sampling(self, n):
         def unsampled(x):
             raise AssertionError("a row was sampled")
 
-        with pytest.raises(CapacityError, match=f"order {n} exceeds Jacobi limit"):
+        with pytest.raises(CapacityError, match=f"order {n} exceeds eigen limit"):
             spectral_sum_report(Integrand(eval=unsampled, label="unsampled"), n)
 
 
