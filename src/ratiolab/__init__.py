@@ -15,7 +15,7 @@ from .eigen import (
     materialize,
     spectral_sum_report,
 )
-from .errors import CapacityError, EvaluationError, QuadratureError
+from .errors import CapacityError, EvaluationError
 from .farey import (
     FareySequence,
     TotientTable,
@@ -69,7 +69,6 @@ __all__ = [
     "Integrand",
     "NormReport",
     "OscillationReport",
-    "QuadratureError",
     "SampledMatrixSpec",
     "SignMatrix",
     "SpectralSums",

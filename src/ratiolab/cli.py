@@ -20,7 +20,6 @@ from . import eigen as eigen_mod
 from . import farey as farey_mod
 from . import hadamard as hadamard_mod
 from . import specfun
-from .errors import QuadratureError
 from .integrands import PRESETS
 from .matrix_core import SampledMatrixSpec, convergence_table, norm_power, predict_limit
 
@@ -327,7 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-    except (QuadratureError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

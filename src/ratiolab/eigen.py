@@ -27,7 +27,7 @@ _PROBES = 15
 _MAX_STEPS = 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseSymmetric:
     """Symmetric matrix held as a checked, read-only float64 copy of its full
     array, so the caller's array can neither change it later nor be frozen."""
@@ -35,7 +35,10 @@ class DenseSymmetric:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=np.float64)
+        a = np.asarray(self.entries)
+        if a.dtype.kind not in "iuf":
+            raise ValueError(f"entries must have a real dtype, got {a.dtype}")
+        a = a.astype(np.float64)  # a copy, even when a is float64 already
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square 2-D array, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -50,7 +53,7 @@ class DenseSymmetric:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     eigenvalues: np.ndarray  # ascending
     sweeps_used: int  # multisection steps, one Sturm pass each

@@ -9,7 +9,3 @@ class CapacityError(ValueError):
 
 class EvaluationError(ValueError):
     """An integrand returned a non-finite value at a sample point."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature exhausted its subdivision budget."""

@@ -41,7 +41,7 @@ MAX_FAREY_ORDER = 5000
 MAX_WEYL_ORDER = 20_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TotientTable:
     """phi(n) for 1 <= n <= limit as a checked, read-only int64 copy;
     values[0] is an unused sentinel."""
@@ -63,7 +63,7 @@ class TotientTable:
         return len(self.values) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FareySequence:
     """Materialized Farey fractions of one order, ascending, as rows (b, c)
     of a checked, read-only int64 copy of shape (count, 2)."""

@@ -22,7 +22,7 @@ from .errors import CapacityError
 DENSE_LIMIT = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignMatrix:
     """Square matrix of +1 and -1 entries, held as a checked, read-only int8
     copy, so the caller's array can neither change it later nor be frozen."""

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, EvaluationError, QuadratureError
+from .errors import CapacityError, EvaluationError
 
 #: Absolute tolerance of predict_limit's adaptive quadrature.
 QUADRATURE_TOL = 1e-10
@@ -235,7 +235,7 @@ def predict_limit(integrand: Integrand, m: float) -> float:
     OPEN_LEFT_EDGE), which handles integrands with an integrable
     logarithmic singularity at the origin.  Raises EvaluationError, naming
     the smallest bad point of the batch, as soon as a value |f(x)|^m is not
-    finite, and QuadratureError once QUADRATURE_PANEL_BUDGET panels are spent.
+    finite, and CapacityError once QUADRATURE_PANEL_BUDGET panels are spent.
     """
     _check_exponent(m)
 
@@ -263,7 +263,7 @@ def predict_limit(integrand: Integrand, m: float) -> float:
     for depth in range(_MAX_RECURSION_DEPTH + 1):
         used += 2 * panels.shape[1]
         if used > QUADRATURE_PANEL_BUDGET:
-            raise QuadratureError(
+            raise CapacityError(
                 f"quadrature for {integrand.label!r}^({m}) exceeded "
                 f"{QUADRATURE_PANEL_BUDGET} panels"
             )

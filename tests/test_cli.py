@@ -322,6 +322,13 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "dense limit" in err
 
+    def test_quadrature_beyond_panel_budget_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(matrix_core, "QUADRATURE_PANEL_BUDGET", 8)
+        code, out, err = run_cli(capsys, ["norm", "--f", "lngamma", "--orders", "4"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: quadrature for 'lngamma'^(1.0) exceeded 8 panels\n"
+
     def test_unwritable_out_path_exits_one_with_diagnostic(self, capsys, tmp_path):
         target = tmp_path / "missing" / "r.csv"
         code, out, err = run_cli(capsys, ["norm", "--orders", "3", "--out", str(target)])

@@ -103,6 +103,25 @@ class TestMaterialize:
         with pytest.raises(ValueError, match=message):
             DenseSymmetric(entries)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[True, False], [False, True]],
+            np.array([[1 + 1j, 2], [2, 1]]),
+            [["1", "2"], ["2", "1"]],
+            np.array([[1, 2], [2, 1]], dtype=object),
+        ],
+        ids=["bool", "complex", "string", "object"],
+    )
+    def test_rejects_non_real_dtypes(self, entries):
+        with pytest.raises(ValueError, match="entries must have a real dtype, got "):
+            DenseSymmetric(entries)
+
+    def test_accepts_lists_of_numbers(self):
+        dense = DenseSymmetric([[1, 2.5], [2.5, 3]])
+        assert dense.entries.dtype == np.float64
+        np.testing.assert_array_equal(dense.entries, [[1.0, 2.5], [2.5, 3.0]])
+
     def test_rejects_non_finite_entries(self):
         # symmetric and square, so only the finiteness check can reject them
         for bad in (math.inf, -math.inf, math.nan):

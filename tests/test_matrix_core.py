@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ratiolab
-from ratiolab.errors import CapacityError, EvaluationError, QuadratureError
+from ratiolab.errors import CapacityError, EvaluationError
 from ratiolab.integrands import CONST1, EXP, IDENTITY, LNGAMMA, PRESETS
 from ratiolab.matrix_core import (
     MAX_NORM_ORDER,
@@ -482,7 +482,7 @@ class TestPredictLimit:
 
     def test_non_integrable_integrand_exhausts_budget(self):
         harmonic = Integrand(eval=lambda x: 1.0 / x, label="reciprocal")
-        with pytest.raises(QuadratureError):
+        with pytest.raises(CapacityError, match="exceeded 1048576 panels"):
             predict_limit(harmonic, 1.0)
 
     def test_exponent_validation(self):
