@@ -43,20 +43,10 @@ MAX_WEYL_ORDER = 20_000
 
 @dataclass(frozen=True, eq=False)
 class TotientTable:
-    """phi(n) for 1 <= n <= limit as a checked, read-only int64 copy;
+    """phi(n) for 1 <= n <= limit as the sieve's read-only int64 array;
     values[0] is an unused sentinel."""
 
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.values)
-        if a.ndim != 1:
-            raise ValueError(f"expected a 1-D array of totients, got shape {a.shape}")
-        if not np.issubdtype(a.dtype, np.integer):
-            raise ValueError(f"values must have an integer dtype, got {a.dtype}")
-        a = a.astype(np.int64)  # a copy, even when a is int64 already
-        a.flags.writeable = False
-        object.__setattr__(self, "values", a)
 
     @property
     def limit(self) -> int:
@@ -66,28 +56,13 @@ class TotientTable:
 @dataclass(frozen=True, eq=False)
 class FareySequence:
     """Materialized Farey fractions of one order, ascending, as rows (b, c)
-    of a checked, read-only int64 copy of shape (count, 2)."""
+    of a read-only int64 array of shape (count, 2); the first is 1/order."""
 
-    order: int
     fractions: np.ndarray
 
-    def __post_init__(self) -> None:
-        a = np.asarray(self.fractions)
-        if a.ndim != 2 or a.shape[1] != 2:
-            raise ValueError(f"expected a (count, 2) array of (b, c) pairs, got shape {a.shape}")
-        if not np.issubdtype(a.dtype, np.integer):
-            raise ValueError(f"fractions must have an integer dtype, got {a.dtype}")
-        a = a.astype(np.int64)  # a copy, even when a is int64 already
-        a.flags.writeable = False
-        object.__setattr__(self, "fractions", a)
-
-    @classmethod
-    def _adopt(cls, order: int, fractions: np.ndarray) -> FareySequence:
-        """Freeze and keep, uncopied, an int64 (count, 2) array no one else holds."""
-        fractions.flags.writeable = False
-        sequence = object.__new__(cls)  # skips __post_init__ and its copy
-        sequence.__dict__.update(order=order, fractions=fractions)
-        return sequence
+    @property
+    def order(self) -> int:
+        return int(self.fractions[0, 1])
 
     @property
     def count(self) -> int:
@@ -113,7 +88,7 @@ def totient_sieve(x: int) -> TotientTable:
         raise CapacityError(f"sieve limit {x} exceeds budget {MAX_SIEVE_LIMIT}")
     # phi(n) = n * prod (1 - 1/p) over the primes p | n, one exact division per p;
     # rest[n] is n with every prime <= sqrt(x) divided out (int32 holds
-    # MAX_SIEVE_LIMIT, so phi is sieved in int32 too and widened by TotientTable)
+    # MAX_SIEVE_LIMIT, so phi is sieved in int32 too and widened at the end)
     phi = np.arange(x + 1, dtype=np.int32)
     rest = np.arange(x + 1, dtype=np.int32)
     for p in _small_primes(x):
@@ -128,8 +103,10 @@ def totient_sieve(x: int) -> TotientTable:
     rest[rest <= 1] = x + 1
     np.floor_divide(phi, rest, out=rest)
     phi -= rest
-    del rest  # before TotientTable takes its private int64 copy of phi
-    return TotientTable(phi)
+    del rest  # before the int64 copy of phi
+    values = phi.astype(np.int64)
+    values.flags.writeable = False
+    return TotientTable(values)
 
 
 def phi_summatory(x: int) -> int:
@@ -191,7 +168,8 @@ def farey_sequence(x: int) -> FareySequence:
     key *= pairs[:, 1]
     key += 1 << (s - 1)
     np.right_shift(key, s, out=pairs[:, 0])
-    return FareySequence._adopt(x, pairs)
+    pairs.flags.writeable = False
+    return FareySequence(pairs)
 
 
 def weyl_average(integrand: Integrand, x: int) -> float:

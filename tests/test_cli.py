@@ -232,11 +232,11 @@ class TestExitCodes:
             ["gamma", "--mode", "reflection", "--orders", "4"],
             ["gamma", "--mode", "reflection", "--points", "1.5"],
             ["gamma", "--mode", "rowproduct", "--orders", "1,2"],
-            ["eigen", "--tol", "-1"],
+            ["eigen", "--orders", "4,4"],
             ["hadamard", "--k", "-1"],
             ["nonsense"],
-            ["eigen", "--orders", "4,8", "--tol", "nan"],
-            ["eigen", "--tol", "inf"],
+            ["eigen", "--orders", "2.5"],
+            ["eigen", "--f", "unknown"],
             ["norm", "--m", "nan"],
             ["norm", "--m", "inf"],
             ["gamma", "--mode", "duplication", "--points", "nan"],

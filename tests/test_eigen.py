@@ -150,6 +150,12 @@ class TestJacobi:
         expected = [E - math.sqrt(E), E + math.sqrt(E)]
         np.testing.assert_allclose(result.eigenvalues, expected, rtol=1e-12)
 
+    def test_eigenvalues_frozen(self):
+        result = jacobi_eigenvalues(materialize(SampledMatrixSpec(EXP, 3)))
+        assert result.eigenvalues.dtype == np.float64
+        with pytest.raises(ValueError):
+            result.eigenvalues[0] = 0.0
+
     def test_eigenvalues_ascending_and_residual_bounded(self):
         # the residuals of the trace and of the squared Frobenius norm, which
         # the reduction to tridiagonal form preserves
