@@ -14,6 +14,8 @@ of each prime factor of c are cleared.  The average samples f at b/c in
 batches of consecutive rows, one integrand call per batch of at least
 SUM_BLOCK values; farey_sequence packs each pair into one exact int64 key
 that sorts in order of b/c, and unpacks the pairs from the sorted keys.
+It counts the pairs first, as Phi(x) from the totient sieve, so that the
+keys are written, sorted and unpacked inside the one array it returns.
 
 Both the walk and totient_sieve need only the primes up to sqrt(x): every
 n <= x has at most one prime factor above sqrt(x), and it is what remains
@@ -34,7 +36,7 @@ from .matrix_core import SUM_BLOCK, Integrand, exact_sum
 #: Largest sieve/table size accepted before raising CapacityError.
 MAX_SIEVE_LIMIT = 2_000_000
 #: Largest order farey_sequence materializes: Phi(5000) = 7.6M int64 pairs (116 MiB) take
-#: about 0.35-0.5 s and 261 MiB peak RSS to build in a fresh process (2-core x86).
+#: about 0.25-0.3 s and 145 MiB peak RSS to build in a fresh process (2-core x86).
 MAX_FAREY_ORDER = 5000
 #: Largest order weyl_average accepts: its O(x^2) samples take 1.1-1.8 s at x = 20000 for
 #: exp, identity and const1, and about 6 s for lngamma (2-core x86).
@@ -80,15 +82,11 @@ def _small_primes(x: int) -> list[int]:
     return np.flatnonzero(is_prime).tolist()
 
 
-def totient_sieve(x: int) -> TotientTable:
-    """Euler totients up to x by a sieve over the primes <= sqrt(x), exact integer arithmetic."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if x > MAX_SIEVE_LIMIT:
-        raise CapacityError(f"sieve limit {x} exceeds budget {MAX_SIEVE_LIMIT}")
+def _totients(x: int) -> np.ndarray:
+    """phi(n) for 0 <= n <= x as a writable int32 array, phi(0) = 0."""
     # phi(n) = n * prod (1 - 1/p) over the primes p | n, one exact division per p;
     # rest[n] is n with every prime <= sqrt(x) divided out (int32 holds
-    # MAX_SIEVE_LIMIT, so phi is sieved in int32 too and widened at the end)
+    # MAX_SIEVE_LIMIT, so phi is sieved in int32 too)
     phi = np.arange(x + 1, dtype=np.int32)
     rest = np.arange(x + 1, dtype=np.int32)
     for p in _small_primes(x):
@@ -103,8 +101,16 @@ def totient_sieve(x: int) -> TotientTable:
     rest[rest <= 1] = x + 1
     np.floor_divide(phi, rest, out=rest)
     phi -= rest
-    del rest  # before the int64 copy of phi
-    values = phi.astype(np.int64)
+    return phi
+
+
+def totient_sieve(x: int) -> TotientTable:
+    """Euler totients up to x by a sieve over the primes <= sqrt(x), exact integer arithmetic."""
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
+    if x > MAX_SIEVE_LIMIT:
+        raise CapacityError(f"sieve limit {x} exceeds budget {MAX_SIEVE_LIMIT}")
+    values = _totients(x).astype(np.int64)
     values.flags.writeable = False
     return TotientTable(values)
 
@@ -149,25 +155,32 @@ def farey_sequence(x: int) -> FareySequence:
     # Every value stays below 2^(3w+1) <= 2^40 for x <= MAX_FAREY_ORDER.
     w = x.bit_length()
     s = 2 * w
-    # Phi(x) <= x(x+1)/2 bounds the count; the tail past Phi(x) is never
-    # written, so it takes address space but no memory
-    key = np.empty(x * (x + 1) // 2, dtype=np.int64)
-    count = 0
+    count = int(_totients(x).sum())
+    # The keys are written into the first count slots of the output's flat
+    # view and sorted there, then unpacked from the end one SUM_BLOCK slice
+    # at a time: pair i takes flat[2i : 2i + 2], at or past key i, so each
+    # slice's keys are copied out before its pairs overwrite them, and the
+    # keys below the slice are never touched.
+    pairs = np.empty((count, 2), dtype=np.int64)
+    flat = pairs.reshape(-1)
+    key = flat[:count]
+    start = 0
     for c, b in _coprime_rows(x):
-        row = key[count : count + b.size]
+        row = key[start : start + b.size]
         np.left_shift(b, s, out=row)
         row //= c
         row <<= w
         row |= c
-        count += b.size
-    key = key[:count]
+        start += b.size
     key.sort()
-    pairs = np.empty((key.size, 2), dtype=np.int64)
-    np.bitwise_and(key, (1 << w) - 1, out=pairs[:, 1])
-    key >>= w
-    key *= pairs[:, 1]
-    key += 1 << (s - 1)
-    np.right_shift(key, s, out=pairs[:, 0])
+    for stop in range(count, 0, -SUM_BLOCK):
+        start = max(stop - SUM_BLOCK, 0)
+        q = key[start:stop].copy()
+        np.bitwise_and(q, (1 << w) - 1, out=pairs[start:stop, 1])
+        q >>= w
+        q *= pairs[start:stop, 1]
+        q += 1 << (s - 1)
+        np.right_shift(q, s, out=pairs[start:stop, 0])
     pairs.flags.writeable = False
     return FareySequence(pairs)
 

@@ -86,9 +86,12 @@ def is_hadamard(matrix: SignMatrix) -> bool:
     """True iff M M^T = n I exactly (all rows pairwise orthogonal)."""
     # A float32 BLAS product is exact here: every partial dot product is an
     # integer of magnitude <= order <= 2048 < 2^24, so any summation order
-    # gives the same Gram matrix as exact integer arithmetic.
+    # gives the same Gram matrix as exact integer arithmetic, and so does
+    # subtracting n from its diagonal in place.
     e = matrix.entries.astype(np.float32)
-    return bool(np.array_equal(e @ e.T, matrix.order * np.eye(matrix.order, dtype=np.float32)))
+    gram = e @ e.T
+    gram.flat[:: matrix.order + 1] -= matrix.order
+    return not gram.any()
 
 
 def spectral_sum_sq(matrix: SignMatrix) -> int:

@@ -202,8 +202,9 @@ class TestFareySequence:
 
     @pytest.mark.parametrize(
         "x",
-        # the key width w = x.bit_length() steps up at 4096
-        [*around_squares((2, 3, 7, 31)), 1000, 2000, 4095, 4096, 4097, MAX_FAREY_ORDER],
+        # Phi(x) first exceeds one SUM_BLOCK slice of keys at 329, and the key
+        # width w = x.bit_length() steps up at 4096
+        [*around_squares((2, 3, 7, 31)), 328, 329, 1000, 2000, 4095, 4096, 4097, MAX_FAREY_ORDER],
     )
     def test_matches_float_sort_reference(self, x):
         fractions = farey_sequence(x).fractions
@@ -223,16 +224,25 @@ class TestFareySequence:
         assert np.all(b[1:] * c[:-1] - b[:-1] * c[1:] == 1)
         assert fractions.shape[0] == phi_summatory(2000)
 
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_unpacks_across_slice_boundaries(self, monkeypatch, block):
+        # pairs are unpacked from the end one SUM_BLOCK slice of keys at a
+        # time, over the keys they overwrite
+        monkeypatch.setattr(farey, "SUM_BLOCK", block)
+        for x in range(1, 61):
+            assert pairs(farey_sequence(x)) == brute_farey(x)
+
     def test_peak_memory_stays_near_the_result(self):
-        # the x(x+1)/2 sort keys next to the Phi(x) unpacked pairs, which the
-        # sequence keeps without a copy: 1.82x the pairs at x = 1000
+        # the keys are sorted and unpacked inside the returned pairs, so the
+        # peak is the pairs plus one SUM_BLOCK slice of keys and the coprime
+        # walk's rows: 1.109x the pairs at x = 1000
         tracemalloc.start()
         try:
             seq = farey_sequence(1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.9 * seq.fractions.nbytes
+        assert peak <= 1.15 * seq.fractions.nbytes
 
     def test_fractions_frozen(self):
         seq = farey_sequence(5)

@@ -125,6 +125,18 @@ class TestIsHadamard:
         assert not np.array_equal(gram, 32 * np.eye(32, dtype=np.int64))
         assert not is_hadamard(flipped)
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_every_single_flipped_entry_is_rejected(self, k):
+        # the flipped row's dot product with every other row moves by 2
+        # (order 1 has no other row: [[-1]] is Hadamard)
+        n = 1 << k
+        entries = sylvester(k).entries
+        for i in range(n):
+            for j in range(n):
+                flipped = entries.copy()
+                flipped[i, j] = -flipped[i, j]
+                assert not is_hadamard(SignMatrix(flipped)), (i, j)
+
     def test_largest_dense_order(self):
         matrix = sylvester(11)
         assert is_hadamard(matrix)
