@@ -134,21 +134,15 @@ def _rowproduct_row(k: int) -> dict:
     return {"k": k, "log_product": log_product, "closed_form": closed, "abs_diff": abs_diff}
 
 
+def _sine_row(n: int, order: int) -> dict:
+    return {"n": n, "order": order, "residual": specfun.sine_product_residual(order)}
+
+
 GAMMA_MODES = {
     "integral": _Sweep("orders", _at_least(1), _integral_row, (2, 16, 128, 512)),
     "rowproduct": _Sweep("orders", _at_least(2), _rowproduct_row, (2, 16, 128, 512)),
-    "sine-odd": _Sweep(
-        "orders",
-        _at_least(1),
-        lambda n: {"n": n, "order": 2 * n + 1, "residual": specfun.sine_product_residual(2 * n + 1)},
-        (1, 2, 50, 200),
-    ),
-    "sine-even": _Sweep(
-        "orders",
-        _at_least(1),
-        lambda n: {"n": n, "order": 2 * n, "residual": specfun.sine_product_residual(2 * n)},
-        (1, 2, 50, 200),
-    ),
+    "sine-odd": _Sweep("orders", _at_least(1), lambda n: _sine_row(n, 2 * n + 1), (1, 2, 50, 200)),
+    "sine-even": _Sweep("orders", _at_least(1), lambda n: _sine_row(n, 2 * n), (1, 2, 50, 200)),
     "reflection": _Sweep(
         "points",
         _number(float, "in (0, 1)", lambda s: 0.0 < s < 1.0),

@@ -192,21 +192,19 @@ def weyl_average(integrand: Integrand, x: int) -> float:
     denominator c <= x at the b/c with b <= c and gcd(b, c) = 1, gathered
     into batches of consecutive rows that each hold at least SUM_BLOCK
     values (the last may hold fewer), one integrand call per batch, and
-    streams them into exact_sum; that sum depends neither on the order of
-    the values nor on their chunking, so the result is bit-identical to
-    averaging over farey_sequence(x).fractions.  A batch holds fewer than
-    SUM_BLOCK + x values, so the integrand's temporaries stay
-    O(SUM_BLOCK + x).  Raises EvaluationError if the sum is not finite, and
-    CapacityError above MAX_WEYL_ORDER.
+    streams them into exact_sum, whose sum depends neither on the order of
+    the values nor on their chunking; divided by Phi(x), counted as in
+    farey_sequence, it is bit-identical to the mean over its fractions.
+    A batch holds fewer than SUM_BLOCK + x values, so the integrand's
+    temporaries stay O(SUM_BLOCK + x).  Raises EvaluationError if the sum
+    is not finite, and CapacityError above MAX_WEYL_ORDER.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if x > MAX_WEYL_ORDER:
         raise CapacityError(f"Weyl average order {x} exceeds budget {MAX_WEYL_ORDER}")
-    count = 0
 
     def batches() -> Iterator[np.ndarray]:
-        nonlocal count
         # rows are at most x long, so a batch of SUM_BLOCK or more fits;
         # exact_sum copies each batch before it asks for the next one, so
         # the points are refilled in place
@@ -217,16 +215,14 @@ def weyl_average(integrand: Integrand, x: int) -> float:
             size += b.size
             if size >= SUM_BLOCK:
                 yield integrand.eval(points[:size])
-                count += size
                 size = 0
         if size:
             yield integrand.eval(points[:size])
-            count += size
 
     total = exact_sum(batches())
     if not math.isfinite(total):
         raise EvaluationError(f"average of {integrand.label!r} over order {x} is not finite")
-    return total / count
+    return total / int(_totients(x).sum())
 
 
 def coprime_density(n: int) -> float:

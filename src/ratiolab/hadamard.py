@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityError
 
-#: Largest Sylvester order built; larger orders raise CapacityError.
+#: Largest order sylvester builds and is_hadamard checks; larger orders raise CapacityError.
 DENSE_LIMIT = 2048
 
 
@@ -83,11 +83,14 @@ def sylvester(k: int) -> SignMatrix:
 
 
 def is_hadamard(matrix: SignMatrix) -> bool:
-    """True iff M M^T = n I exactly (all rows pairwise orthogonal)."""
+    """True iff M M^T = n I exactly (all rows pairwise orthogonal); raises
+    CapacityError above DENSE_LIMIT before the float32 copy is made."""
+    if matrix.order > DENSE_LIMIT:
+        raise CapacityError(f"order {matrix.order} exceeds dense limit {DENSE_LIMIT}")
     # A float32 BLAS product is exact here: every partial dot product is an
-    # integer of magnitude <= order <= 2048 < 2^24, so any summation order
-    # gives the same Gram matrix as exact integer arithmetic, and so does
-    # subtracting n from its diagonal in place.
+    # integer of magnitude <= order <= DENSE_LIMIT < 2^24, so any summation
+    # order gives the same Gram matrix as exact integer arithmetic, and so
+    # does subtracting n from its diagonal in place.
     e = matrix.entries.astype(np.float32)
     gram = e @ e.T
     gram.flat[:: matrix.order + 1] -= matrix.order

@@ -207,13 +207,10 @@ def norm_power(spec: SampledMatrixSpec, m: float) -> float:
         rows = (_abs_power(sample_row(f, k), m) for k in range(1, spec.order + 1))
         first = next(rows)  # row 1 is [|f(1)|^m], every diagonal entry
         triangle = exact_sum(chain([first], rows))
-    # 2 * triangle - n * |f(1)|^m, rounded once; 2 * triangle is never formed.
-    # The triangle holds the n diagonal terms, so no partial sum exceeds the
-    # result, and fsum raises only where the total is not finite anyway.
-    try:
-        total = math.fsum([triangle, -spec.order * float(first[0]), triangle])
-    except (OverflowError, ValueError):
-        total = math.nan
+    # 2 * triangle - n * |f(1)|^m, rounded once by exact_sum; 2 * triangle is
+    # never formed.  The triangle holds the n diagonal terms, so no partial sum
+    # exceeds the result, and the sum is nan only where it is not finite anyway.
+    total = exact_sum([np.array([triangle, -spec.order * float(first[0]), triangle])])
     if not math.isfinite(total):
         raise EvaluationError(f"sum of |{f.label}|^{m} over order {spec.order} overflows")
     return total
@@ -253,10 +250,9 @@ def predict_limit(integrand: Integrand, m: float) -> float:
         return (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
 
     a, b = OPEN_LEFT_EDGE, 1.0
-    mid = 0.5 * (a + b)
-    fa, fmid, fb = g(np.array([a, mid, b]))
-    # one column per unfinished panel: a, mid, b, f(a), f(mid), f(b), Simpson
-    panels = np.array([[a], [mid], [b], [fa], [fmid], [fb], [simpson(a, b, fa, fmid, fb)]])
+    fa, fmid, fb = g(np.array([a, 0.5 * (a + b), b]))
+    # one column per unfinished panel: a, b, f(a), f(mid), f(b), with mid = (a + b) / 2
+    panels = np.array([[a], [b], [fa], [fmid], [fb]])
     used = 3
     tol = QUADRATURE_TOL
     accepted: list[np.ndarray] = []
@@ -267,13 +263,14 @@ def predict_limit(integrand: Integrand, m: float) -> float:
                 f"quadrature for {integrand.label!r}^({m}) exceeded "
                 f"{QUADRATURE_PANEL_BUDGET} panels"
             )
-        a, mid, b, fa, fmid, fb, whole = panels
+        a, b, fa, fmid, fb = panels
+        mid = 0.5 * (a + b)
         lm = 0.5 * (a + mid)
         rm = 0.5 * (mid + b)
         flm, frm = np.split(g(np.concatenate([lm, rm])), 2)
         left = simpson(a, mid, fa, flm, fmid)
         right = simpson(mid, b, fmid, frm, fb)
-        delta = left + right - whole
+        delta = left + right - simpson(a, b, fa, fmid, fb)
         # past _MAX_RECURSION_DEPTH the interval width is at the limit of
         # float resolution and the Richardson estimate is pure roundoff
         done = (np.abs(delta) <= 15.0 * tol) | (depth == _MAX_RECURSION_DEPTH)
@@ -282,11 +279,7 @@ def predict_limit(integrand: Integrand, m: float) -> float:
             break
         # each unfinished panel [a, b] splits into [a, mid] and [mid, b]
         panels = np.concatenate(
-            [
-                np.stack([a, lm, mid, fa, flm, fmid, left]),
-                np.stack([mid, rm, b, fmid, frm, fb, right]),
-            ],
-            axis=1,
+            [np.stack([a, mid, fa, flm, fmid]), np.stack([mid, b, fmid, frm, fb])], axis=1
         )[:, np.tile(~done, 2)]
         tol *= 0.5
     return exact_sum(accepted)

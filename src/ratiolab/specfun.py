@@ -169,8 +169,6 @@ def sine_product_residual(k: int) -> float:
     The product is accumulated in log space: in double precision the plain
     product underflows, and 2^(k-1) overflows, past k of about 1024.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
     return k - math.exp((k - 1) * LN_2 + 2.0 * sine_half_product_log(k))
 
 
@@ -229,7 +227,5 @@ def gamma_integral_via_matrix(n: int) -> float:
     it through the matrix route cross-validates the Lanczos evaluator
     against pure elementary arithmetic.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     spec = SampledMatrixSpec(LN_GAMMA_INTEGRAND, n)
     return norm_power(spec, 1.0) / (n * n)

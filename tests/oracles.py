@@ -7,10 +7,13 @@ enumeration.  Slow but unarguable.
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from ratiolab.farey import farey_sequence
 from ratiolab.matrix_core import Integrand, SampledMatrixSpec, matrix_entry
 from ratiolab.specfun import LANCZOS_COEFFICIENTS, LANCZOS_SHIFT, LN_2PI, LN_SQRT_2PI, ln_gamma
 
@@ -185,3 +188,57 @@ def last_two_rows_mismatches(entries) -> int:
         if entries[n - 2][i] * entries[n - 1][i] == -1:
             count += 1
     return count
+
+
+def ratio_hadamard_search(n: int) -> list[np.ndarray]:
+    """Every Hadamard matrix of order n with entries s(min(i,j)/max(i,j)) for
+    some sign s on the reduced fractions, as int64 arrays, by a pruned search.
+
+    The variables are the fractions b/c of farey_sequence(n).  Row i holds s
+    at j/i for j <= i and at i/j for j > i, so, with the rows filled from n
+    down, row i is complete once the fractions whose denominator divides i
+    are set: those not set by a later row are its new variables.  A partial
+    sign is extended by every choice for them and kept only if the completed
+    row is orthogonal to every later row.  This walks the tree of a
+    backtracking search one level at a time, with all partial signs of a
+    level extended at once: order 8 takes about 0.1 s, order 10 about 4 s,
+    and at order 12 one level would hold about 75 GiB of partial signs.
+    """
+    index = {(b, c): v for v, (b, c) in enumerate(farey_sequence(n).fractions.tolist())}
+
+    def variable(i: int, j: int) -> int:
+        g = math.gcd(i, j)
+        return index[(min(i, j) // g, max(i, j) // g)]
+
+    # cells[i - 1, j - 1]: the variable of entry (i, j)
+    cells = np.array([[variable(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
+    signs = np.zeros((1, len(index)), dtype=np.int64)  # one partial sign per array row
+    unset = np.ones(len(index), dtype=bool)
+    for i in range(n, 0, -1):
+        free = np.unique(cells[i - 1][unset[cells[i - 1]]])
+        unset[free] = False
+        choices = np.array(list(itertools.product((1, -1), repeat=free.size)), dtype=np.int64)
+        signs = np.repeat(signs, len(choices), axis=0)
+        signs[:, free] = np.tile(choices, (len(signs) // len(choices), 1))
+        row = signs[:, cells[i - 1]]
+        for later in range(i, n):
+            signs = signs[(row * signs[:, cells[later]]).sum(axis=1) == 0]
+            row = signs[:, cells[i - 1]]
+    return [sign[cells] for sign in signs]
+
+
+def ratio_hadamard_brute(n: int) -> list[np.ndarray]:
+    """Every Hadamard ratio sign matrix of order n (see ratio_hadamard_search),
+    by trying every sign on the fractions j/k <= 1 with k <= n, reduced by
+    Fraction, and testing M M^T = n I in integers."""
+    fractions = sorted({Fraction(j, k) for k in range(1, n + 1) for j in range(1, k + 1)})
+    position = {f: v for v, f in enumerate(fractions)}
+    cells = np.array(
+        [[position[Fraction(min(i, j), max(i, j))] for j in range(1, n + 1)] for i in range(1, n + 1)]
+    )
+    found = []
+    for signs in itertools.product((1, -1), repeat=len(fractions)):
+        matrix = np.array(signs, dtype=np.int64)[cells]
+        if np.array_equal(matrix @ matrix.T, n * np.eye(n, dtype=np.int64)):
+            found.append(matrix)
+    return found

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ratiolab.eigen import DenseSymmetric, jacobi_eigenvalues
 from ratiolab.errors import CapacityError
 from ratiolab.hadamard import (
+    DENSE_LIMIT,
     OscillationReport,
     SignMatrix,
     Verdict,
@@ -19,7 +20,7 @@ from ratiolab.hadamard import (
     sylvester,
 )
 
-from oracles import last_two_rows_mismatches
+from oracles import last_two_rows_mismatches, ratio_hadamard_brute, ratio_hadamard_search
 
 
 def sign_matrix(rows) -> SignMatrix:
@@ -144,6 +145,14 @@ class TestIsHadamard:
         entries[2047, 1024] = -entries[2047, 1024]
         assert not is_hadamard(SignMatrix(entries))
 
+    def test_capacity_limit_raises_before_the_float32_copy(self):
+        # SignMatrix itself has no size cap; is_hadamard's exactness needs order
+        # <= DENSE_LIMIT (test_largest_dense_order checks that order itself)
+        n = DENSE_LIMIT + 1
+        ones = SignMatrix(np.ones((n, n), dtype=np.int8))
+        with pytest.raises(CapacityError, match=f"order {n} exceeds dense limit {DENSE_LIMIT}"):
+            is_hadamard(ones)
+
     def test_invariant_under_row_negation_and_permutation(self):
         rng = np.random.default_rng(7)
         matrix = sylvester(4)
@@ -151,6 +160,33 @@ class TestIsHadamard:
         perm = rng.permutation(16)
         transformed = (signs[:, None] * matrix.entries)[np.ix_(perm, perm)]
         assert is_hadamard(SignMatrix(transformed))
+
+
+class TestRatioSignCensus:
+    """How many order-n sign matrices s(min(i,j)/max(i,j)), for a sign s on
+    the reduced fractions, are Hadamard: the paper's claim at finite orders."""
+
+    @pytest.mark.parametrize("n,count", [(1, 2), (2, 0), (4, 8), (8, 0)])
+    def test_hadamard_counts(self, n, count):
+        found = ratio_hadamard_search(n)
+        assert len(found) == count
+        for matrix in found:
+            assert is_hadamard(SignMatrix(matrix))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_search_matches_brute_force(self, n):
+        def listed(found):
+            return sorted(matrix.tolist() for matrix in found)
+
+        assert listed(ratio_hadamard_search(n)) == listed(ratio_hadamard_brute(n))
+
+    def test_order_four_holds_j_minus_2i(self):
+        # the census is no counterexample to the paper: its claim is asymptotic,
+        # and order 4's oscillation verdict is inconclusive
+        found = [matrix.tolist() for matrix in ratio_hadamard_search(4)]
+        j_minus_2i = np.ones((4, 4), dtype=np.int64) - 2 * np.eye(4, dtype=np.int64)
+        assert j_minus_2i.tolist() in found
+        assert (-j_minus_2i).tolist() in found
 
 
 class TestSpectralSumSq:

@@ -338,8 +338,8 @@ class TestNormPower:
     @pytest.mark.parametrize("order", [1, 2, 3, 5])
     @pytest.mark.parametrize("value", [1e308, 4.5e307, 4e307, 1.9e307, 1.7976931348623157e308, 3.5])
     def test_final_combination_near_overflow(self, value, order):
-        # the final 2 T - n |f(1)| is one fsum of three values; it gives the
-        # bits, or the overflow, of the exact accumulator over the same values
+        # the final 2 T - n |f(1)| is one exact_sum of three values: it gives
+        # the bits, or the overflow, of the exact accumulator over those values
         const = Integrand(eval=lambda x: np.full_like(x, value), label="const")
         triangle = exact_sum(np.full(k, value) for k in range(1, order + 1))
         expected = exact_sum([np.array([triangle, -order * value, triangle])])
@@ -350,15 +350,21 @@ class TestNormPower:
         assert got == (expected.hex() if math.isfinite(expected) else "overflow")
 
     def test_one_accumulator_per_call(self, monkeypatch):
+        # two exact sums: the triangle over every row, then 2 T - n |f(1)|^2
         calls = []
 
-        def counting(chunks):
-            calls.append(1)
-            return exact_sum(chunks)
+        def recording(chunks):
+            calls.append([np.array(chunk) for chunk in chunks])
+            return exact_sum(calls[-1])
 
-        monkeypatch.setattr(ratiolab.matrix_core, "exact_sum", counting)
-        norm_power(SampledMatrixSpec(EXP, 30), 2.0)
-        assert len(calls) == 1
+        monkeypatch.setattr(ratiolab.matrix_core, "exact_sum", recording)
+        total = norm_power(SampledMatrixSpec(EXP, 30), 2.0)
+        rows, combination = calls
+        assert [row.size for row in rows] == list(range(1, 31))
+        triangle, diagonal = exact_sum(rows), float(rows[0][0])
+        assert len(combination) == 1
+        assert combination[0].tolist() == [triangle, -30 * diagonal, triangle]
+        assert total == exact_sum(combination)
 
     @pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("name", sorted(PRESETS))

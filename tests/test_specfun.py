@@ -261,9 +261,9 @@ class TestSineProducts:
             assert ours == pytest.approx(closed, rel=1e-10)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k must be >= 2, got 1"):
             sine_product_residual(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k must be >= 2, got 0"):
             sine_product_residual(0)
         with pytest.raises(ValueError):
             sine_half_product_log(1)
@@ -361,7 +361,7 @@ class TestGammaIntegral:
     def test_validation(self):
         with pytest.raises(ValueError):
             gamma_integral_closed_partial(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="order must be >= 1, got 0"):
             gamma_integral_via_matrix(0)
 
     def test_closed_partial_slicing_is_exact(self):
