@@ -79,9 +79,7 @@ def _largest_first(row: Callable[..., dict], values: Sequence) -> list[dict]:
     Every budget is a ceiling and every budgeted list is strictly increasing,
     so a value past its budget raises before any other value's work.
     """
-    rows = [row(value) for value in reversed(values)]
-    rows.reverse()
-    return rows
+    return [row(value) for value in reversed(values)][::-1]
 
 
 def _run_norm(args) -> tuple[list[dict], dict]:
@@ -160,15 +158,6 @@ GAMMA_MODES = {
 }
 
 
-def _run_gamma(args) -> tuple[list[dict], dict]:
-    sweep = GAMMA_MODES[args.mode]
-    values = getattr(args, sweep.option)
-    meta = {"command": "gamma", "mode": args.mode, sweep.option: list(values)}
-    if sweep.increasing:
-        return _largest_first(sweep.row, values), meta
-    return [sweep.row(value) for value in values], meta
-
-
 def _run_farey(args) -> tuple[list[dict], dict]:
     integrand = PRESETS[args.f]
     predicted = predict_limit(integrand, 1.0)
@@ -208,43 +197,46 @@ def _run_eigen(args) -> tuple[list[dict], dict]:
     return _largest_first(row, args.orders), meta
 
 
-def _oscillation_row(matrix: hadamard_mod.SignMatrix) -> dict:
-    report = hadamard_mod.oscillation_bound(matrix)
+def _oscillation_row(k: int) -> dict:
+    report = hadamard_mod.oscillation_bound(hadamard_mod.sylvester(k))
     return {
+        "k": k,
+        "order": report.order,
         "mismatch_count": report.mismatch_count,
         "lower_bound": report.lower_bound,
         "verdict": report.verdict.value,
     }
 
 
-#: Each check reads its row off the Sylvester matrix of order 2^k.
+#: Each check's row is that of the Sylvester matrix of order 2^k.
 HADAMARD_CHECKS = {
     "orthogonality": _Sweep(
-        "k", _at_least(0), lambda matrix: {"is_hadamard": hadamard_mod.is_hadamard(matrix)}
+        "k",
+        _at_least(0),
+        lambda k: {
+            "k": k,
+            "order": 2**k,
+            "is_hadamard": hadamard_mod.is_hadamard(hadamard_mod.sylvester(k)),
+        },
     ),
     # order 2^0 = 1 has no last two rows to compare
     "oscillation": _Sweep("k", _at_least(1), _oscillation_row),
     "spectral": _Sweep(
         "k",
         _at_least(0),
-        lambda matrix: {"sum_sq": hadamard_mod.spectral_sum_sq(matrix), "order_sq": matrix.order**2},
+        lambda k: {
+            "k": k,
+            "order": 2**k,
+            "sum_sq": hadamard_mod.spectral_sum_sq(hadamard_mod.sylvester(k)),
+            "order_sq": 4**k,
+        },
     ),
 }
 
 
-def _run_hadamard(args) -> tuple[list[dict], dict]:
-    check = HADAMARD_CHECKS[args.check].row
-
-    def row(k: int) -> dict:
-        matrix = hadamard_mod.sylvester(k)
-        return {"k": k, "order": matrix.order, **check(matrix)}
-
-    meta = {"command": "hadamard", "check": args.check, "k": list(args.k)}
-    return _largest_first(row, args.k), meta
-
-
-def _parse_sweep(args: argparse.Namespace) -> None:
-    """Parse the selected mode's option by that mode's rule; reject the other modes' options."""
+def _run_sweep(args) -> tuple[list[dict], dict]:
+    """Rows of a gamma --mode or hadamard --check: its option is parsed by its
+    rule, and the other modes' options are rejected, as usage errors."""
     parser, selector, table = args.sweep
     choice = getattr(args, selector)
     sweep = table[choice]
@@ -254,9 +246,12 @@ def _parse_sweep(args: argparse.Namespace) -> None:
     text = getattr(args, sweep.option)
     try:
         values = sweep.default if text is None else _list(sweep.item, sweep.increasing)(text)
-        setattr(args, sweep.option, values)
     except argparse.ArgumentTypeError as exc:
         parser.error(f"argument --{sweep.option}: {exc}")
+    meta = {"command": args.command, selector: choice, sweep.option: list(values)}
+    if sweep.increasing:
+        return _largest_first(sweep.row, values), meta
+    return [sweep.row(value) for value in values], meta
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     gamma.add_argument("--orders", default=None)
     gamma.add_argument("--points", default=None)
     add_common(gamma)
-    gamma.set_defaults(handler=_run_gamma, sweep=(gamma, "mode", GAMMA_MODES))
+    gamma.set_defaults(handler=_run_sweep, sweep=(gamma, "mode", GAMMA_MODES))
 
     farey = subparsers.add_parser("farey", help="Farey sequence statistics and averages")
     farey.add_argument("--x", type=_list(_at_least(1)), required=True)
@@ -302,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     had.add_argument("--k", required=True)
     had.add_argument("--check", choices=tuple(HADAMARD_CHECKS), default="orthogonality")
     add_common(had)
-    had.set_defaults(handler=_run_hadamard, sweep=(had, "check", HADAMARD_CHECKS))
+    had.set_defaults(handler=_run_sweep, sweep=(had, "check", HADAMARD_CHECKS))
 
     return parser
 
@@ -310,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "sweep" in args:
-        _parse_sweep(args)
     try:
         rows, meta = args.handler(args)
         text = _render_csv(rows) if args.format == "csv" else _render_json(meta, rows)

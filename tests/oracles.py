@@ -29,7 +29,8 @@ def naive_norm_power(spec: SampledMatrixSpec, m: float) -> float:
 
 def ln_gamma_reference(x: np.ndarray) -> np.ndarray:
     """ln Gamma by the plain Lanczos loop: one temporary per coefficient,
-    the reflection formula below 1/2 applied to a gathered subset.
+    ln Gamma(x + 1) - ln x below 1/2, with ln x subtracted from a gathered
+    subset.
 
     The bit-for-bit reference of specfun.ln_gamma, which evaluates the same
     series with its terms fused.
@@ -37,17 +38,15 @@ def ln_gamma_reference(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(x > 0):
         raise ValueError("ln_gamma requires all arguments > 0")
-    reflect = x < 0.5
-    xr = np.where(reflect, 1.0 - x, x)
-    z = xr - 1.0
+    small = x < 0.5
+    # the series gives ln Gamma(z + 1)
+    z = np.where(small, x, x - 1.0)
     s = np.full_like(z, LANCZOS_COEFFICIENTS[0])
     for i, c in enumerate(LANCZOS_COEFFICIENTS[1:], start=1):
         s += c / (z + i)
     t = z + LANCZOS_SHIFT + 0.5
     out = np.asarray(LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(s))
-    if reflect.any():
-        xm = x[reflect]
-        out[reflect] = np.log(np.pi / np.sin(np.pi * xm)) - out[reflect]
+    out[small] = out[small] - np.log(x[small])
     return out[()]
 
 

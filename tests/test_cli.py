@@ -170,7 +170,7 @@ PINNED_OUTPUTS = {
     "norm --f lngamma --m 2 --orders 300,514": (
         "n,raw,normalized,predicted,abs_error\n"
         "300,155177.18591762363,1.7241909546402625,1.8663170837935656,0.14212612915330314\n"
-        "514,467400.58772625332,1.7691433168036357,1.8663170837935656,0.097173766989929966\n"
+        "514,467400.58772625338,1.7691433168036359,1.8663170837935656,0.097173766989929744\n"
     ),
     "norm --f exp --m 3 --orders 1020": (
         "n,raw,normalized,predicted,abs_error\n"
@@ -180,8 +180,8 @@ PINNED_OUTPUTS = {
         "n,matrix_route,closed_route,abs_diff,rel_diff,limit\n"
         "129,0.88169267287927278,0.88169267287927267,1.1102230246251565e-16,"
         "1.2591950220019304e-16,0.91893853320467267\n"
-        "514,0.90693654461739592,0.90693654461739581,1.1102230246251565e-16,"
-        "1.2241463101407168e-16,0.91893853320467267\n"
+        "514,0.90693654461739603,0.90693654461739581,2.2204460492503131e-16,"
+        "2.4482926202814335e-16,0.91893853320467267\n"
     ),
     "farey --f identity --x 5,50,500": (
         "x,phi,average,predicted,abs_error,coprime_density\n"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ratiolab import specfun
 from ratiolab.errors import CapacityError
+from ratiolab.farey import farey_sequence
 from ratiolab.matrix_core import SUM_BLOCK
 from ratiolab.specfun import (
     LN_2PI,
@@ -100,6 +101,28 @@ class TestLnGamma:
         for bad in (np.array([0.5, -1.0]), np.array([0.5, math.nan])):
             with pytest.raises(ValueError):
                 LN_GAMMA_INTEGRAND.eval(bad)
+
+    @pytest.mark.parametrize(
+        "x", [5e-324, 3 * 2.0**-1074, 1e-310, math.nextafter(2.0**-1022, 0.0)]
+    )
+    def test_finite_at_subnormals(self, x):
+        # ln Gamma(x) = -ln x + O(x) here; no 1 / x is ever formed, and a
+        # RuntimeWarning escaping would fail the suite
+        value = float(ln_gamma(x))
+        assert math.isfinite(value)
+        assert abs(value + math.log(x)) <= 1e-15 * abs(math.log(x))
+
+    def test_calls_no_sine(self, monkeypatch):
+        monkeypatch.setattr(np, "sin", _refuse)
+        ln_gamma(np.arange(1, 101) / 100)
+
+    def test_every_fraction_up_to_order_120_against_mpmath(self):
+        # the 4,386 distinct j/k with k <= 120, the grid the matrix routes sample
+        pairs = farey_sequence(120).fractions
+        x = np.unique(pairs[:, 0] / pairs[:, 1])
+        exact = np.array([float(mpmath.loggamma(mpmath.mpf(v))) for v in x.tolist()])
+        assert x.size == 4386
+        assert np.abs(ln_gamma(x) - exact).max() <= 2.5e-15
 
 
 def _outcome(f, x):
@@ -199,6 +222,15 @@ class TestReflection:
         assert euler_reflection_residual(s).hex() == euler_reflection_residual(1.0 - s).hex()
         assert abs(euler_reflection_residual(s)) <= 1e-12
 
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.9])
+    def test_detects_a_perturbed_series(self, monkeypatch, s):
+        # both ln Gamma values come from the series, the reference from the
+        # sine, so an error in the Lanczos numerators shows in the residual
+        monkeypatch.setattr(
+            specfun, "_LANCZOS_NUMERATORS", specfun._LANCZOS_NUMERATORS * (1 + 1e-9)
+        )
+        assert abs(euler_reflection_residual(s)) > 1e-10
+
     def test_domain_errors(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
@@ -219,7 +251,8 @@ class TestDuplication:
     def test_collapse_at_half(self):
         assert abs(duplication_residual(0.5)) <= 1e-13
 
-    @pytest.mark.parametrize("z", [1.0, 3.7, 2.0, 10.0, 25.0])
+    # 1e-310: ln Gamma(z) and ln Gamma(2z) are finite at every positive double
+    @pytest.mark.parametrize("z", [1.0, 3.7, 2.0, 10.0, 25.0, 1e-310])
     def test_spot_points(self, z):
         assert abs(duplication_residual(z)) <= 1e-12
 
