@@ -236,15 +236,12 @@ class TestReflection:
             with pytest.raises(ValueError):
                 euler_reflection_residual(bad)
 
-    def test_finite_just_above_the_overflow(self):
-        # pi / sin(pi s) overflows below about 5.6e-309
-        assert euler_reflection_residual(6e-309) == 0.0
-
-    @pytest.mark.parametrize("s", [5e-309, 1e-310, 1e-320, 5e-324])
-    def test_non_finite_residual_raises(self, s):
-        # pi / sin(pi s) overflows; a RuntimeWarning escaping would fail the suite
-        with pytest.raises(ValueError, match=re.escape(f"not finite at s = {s!r}")):
-            euler_reflection_residual(s)
+    @pytest.mark.parametrize("s", [5e-324, 1e-320, 1e-310, 5e-309, 6e-309])
+    def test_finite_at_subnormals(self, s):
+        # pi / sin(pi s) overflows below about 5.6e-309; pi s / sin(pi s) is
+        # 1, and ln s (about -700) absorbs the series' ln Gamma(1) = -2^-50,
+        # so the residual is exactly 0. A RuntimeWarning would fail the suite
+        assert euler_reflection_residual(s) == 0.0
 
 
 class TestDuplication:
