@@ -265,6 +265,44 @@ class TestExitCodes:
             main(argv)
         assert excinfo.value.code == 2
 
+    @staticmethod
+    def exit_one(capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        return err
+
+    def test_computation_error_exits_one_with_diagnostic(self, capsys):
+        assert "error" in self.exit_one(capsys, ["eigen", "--orders", "4096"]).lower()
+
+    def test_eigen_beyond_jacobi_limit_exits_one(self, capsys):
+        err = self.exit_one(capsys, ["eigen", "--orders", str(MAX_EIGEN_ORDER + 1)])
+        assert err == f"error: order {MAX_EIGEN_ORDER + 1} exceeds eigen limit {MAX_EIGEN_ORDER}\n"
+
+    def test_farey_beyond_capacity_exits_one(self, capsys):
+        self.exit_one(capsys, ["farey", "--x", str(MAX_FAREY_ORDER + 1)])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norm", "--orders", f"4,{MAX_NORM_ORDER + 1}"],
+            ["gamma", "--mode", "integral", "--orders", str(MAX_NORM_ORDER + 1)],
+        ],
+        ids=["norm", "gamma-integral"],
+    )
+    def test_beyond_norm_budget_exits_one(self, capsys, argv):
+        assert f"exceeds budget {MAX_NORM_ORDER}" in self.exit_one(capsys, argv)
+
+    @pytest.mark.parametrize("mode", ["rowproduct", "sine-odd", "sine-even"])
+    def test_beyond_gamma_budget_exits_one(self, capsys, mode):
+        argv = ["gamma", "--mode", mode, "--orders", str(MAX_STREAM_ORDER + 1)]
+        assert f"exceeds budget {MAX_STREAM_ORDER}" in self.exit_one(capsys, argv)
+
+    # k = 15000 is asserted with its exact line in TestBudgetsCheckedFirst
+    @pytest.mark.parametrize("k", ["12"])
+    def test_hadamard_beyond_dense_limit_exits_one(self, capsys, k):
+        assert "dense limit" in self.exit_one(capsys, ["hadamard", "--k", k])
+
     def test_duplication_overflow_exits_one(self, capsys):
         # ln Gamma(2z) overflows; a RuntimeWarning would fail the suite
         code, out, err = run_cli(capsys, ["gamma", "--mode", "duplication", "--points", "1e306"])
