@@ -317,6 +317,11 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: quadrature for 'lngamma'^(1.0) exceeded 8 panels\n"
 
+    def test_overflowing_quadrature_exits_one_without_warning(self, capsys):
+        # e^709 is finite, but the Simpson sums of its 709th power overflow
+        err = self.exit_one(capsys, ["norm", "--f", "exp", "--m", "709", "--orders", "4"])
+        assert err == "error: quadrature for 'exp'^(709.0) exceeded 1048576 panels\n"
+
     def test_unwritable_out_path_exits_one_with_diagnostic(self, capsys, tmp_path):
         target = tmp_path / "missing" / "r.csv"
         code, out, err = run_cli(capsys, ["norm", "--orders", "3", "--out", str(target)])

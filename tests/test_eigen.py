@@ -28,6 +28,10 @@ STEP_BOUND = math.ceil((np.finfo(np.float64).nmant + 1) / 4)
 #: Orders of the closed-form oracle for the identity kernel, one doubling apart.
 ORACLE_ORDERS = (64, 128, 256)
 
+#: A random symmetric matrix of order 24: a + a^T, a standard normal.
+_a = np.random.default_rng(20261019).standard_normal((24, 24))
+RANDOM_SYMMETRIC = _a + _a.T
+
 
 @pytest.fixture(scope="module")
 def identity_spectra():
@@ -172,10 +176,15 @@ class TestJacobi:
             np.array([[0.0, 1e308], [1e308, 0.0]]),
             np.ones((7, 7)),
             np.diag([1.0, 2.0]) + np.diag([1e-300], 1) + np.diag([1e-300], -1),
+            np.diag([1e300, -1e-300, 1e-300, -1e300]) + np.eye(4, k=1) + np.eye(4, k=-1),
+            RANDOM_SYMMETRIC * 1e300,
+            RANDOM_SYMMETRIC * 1e-300,
         ],
-        ids=["antidiagonal-1e308", "ones7", "tiny-coupling"],
+        ids=["antidiagonal-1e308", "ones7", "tiny-coupling", "diagonal-1e300-mixed-signs",
+             "random-1e300", "random-1e-300"],
     )
     def test_steps_stay_within_their_bound(self, full):
+        # nothing but the width test ends the multisection loop
         assert jacobi_eigenvalues(DenseSymmetric(full)).sweeps_used <= STEP_BOUND
 
     def test_capacity_limit_raises_at_once(self):

@@ -491,6 +491,27 @@ class TestPredictLimit:
         with pytest.raises(CapacityError, match="exceeded 1048576 panels"):
             predict_limit(harmonic, 1.0)
 
+    def test_overflowing_simpson_sums_exhaust_budget(self):
+        # every sample is finite, but a panel's Simpson sum overflows, so its delta
+        # is nan and never passes; the suite turns a RuntimeWarning into an error
+        spike = Integrand(
+            eval=lambda x: np.where(np.abs(x - 0.5) < 1e-3, 1e308, 1.0), label="spike"
+        )
+        with pytest.raises(CapacityError, match="exceeded 1048576 panels"):
+            predict_limit(spike, 1.0)
+
+    @pytest.mark.parametrize(
+        "f, expected, tol",
+        [
+            # left-edge panels refine to depth 112; the integral over [2^-60, 1] is 2 - 2^-29
+            (lambda x: x**-0.5, 2.0 - 2.0**-29, 1e-14),
+            (lambda x: np.where(x > 0.3, 1.0, 0.0), 0.7, 1e-15),
+        ],
+        ids=["inverse-sqrt", "step-at-0.3"],
+    )
+    def test_refinement_stops_on_the_richardson_test(self, f, expected, tol):
+        assert abs(predict_limit(Integrand(eval=f, label="f"), 1.0) - expected) <= tol
+
     def test_exponent_validation(self):
         for m in (0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
@@ -547,6 +568,11 @@ class TestWeightedCesaro:
     def test_overflowing_sum_is_nan(self):
         # 1.7e308 + 2 * 0.8e308 passes the float range; math.fsum would raise
         assert math.isnan(weighted_cesaro([1.7e308, 0.8e308]))
+
+    def test_overflowing_term_is_inf_or_nan(self):
+        # 2 * 1e308 overflows, and -3e308 with it; the suite turns a RuntimeWarning into an error
+        assert weighted_cesaro([1e308, 1e308]) == math.inf
+        assert math.isnan(weighted_cesaro([1e308, 1e308, -1e308]))
 
     def test_empty_terms_rejected(self):
         with pytest.raises(ValueError):
