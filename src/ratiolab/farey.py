@@ -35,8 +35,8 @@ from .matrix_core import SUM_BLOCK, Integrand, exact_sum
 
 #: Largest sieve/table size accepted before raising CapacityError.
 MAX_SIEVE_LIMIT = 2_000_000
-#: Largest order farey_sequence materializes: Phi(5000) = 7.6M int64 pairs (116 MiB) take
-#: about 0.25-0.3 s and 145 MiB peak RSS to build in a fresh process (2-core x86).
+#: Largest order farey_sequence materializes: Phi(5000) = 7.6M int32 pairs (58 MiB) take
+#: about 0.19-0.23 s and 87 MiB peak RSS to build in a fresh process (2-core x86).
 MAX_FAREY_ORDER = 5000
 #: Largest order weyl_average accepts: its O(x^2) samples take 1.1-1.8 s at x = 20000 for
 #: exp, identity and const1, and about 6 s for lngamma (2-core x86).
@@ -45,8 +45,8 @@ MAX_WEYL_ORDER = 20_000
 
 @dataclass(frozen=True, eq=False)
 class TotientTable:
-    """phi(n) for 1 <= n <= limit as the sieve's read-only int64 array;
-    values[0] is an unused sentinel."""
+    """phi(n) for 1 <= n <= limit as the sieve's own read-only int32 array
+    (phi(n) <= MAX_SIEVE_LIMIT fits); values[0] is an unused sentinel."""
 
     values: np.ndarray
 
@@ -58,7 +58,7 @@ class TotientTable:
 @dataclass(frozen=True, eq=False)
 class FareySequence:
     """Materialized Farey fractions of one order, ascending, as rows (b, c)
-    of a read-only int64 array of shape (count, 2); the first is 1/order."""
+    of a read-only int32 array of shape (count, 2); the first is 1/order."""
 
     fractions: np.ndarray
 
@@ -110,14 +110,14 @@ def totient_sieve(x: int) -> TotientTable:
         raise ValueError(f"x must be >= 1, got {x}")
     if x > MAX_SIEVE_LIMIT:
         raise CapacityError(f"sieve limit {x} exceeds budget {MAX_SIEVE_LIMIT}")
-    values = _totients(x).astype(np.int64)
+    values = _totients(x)
     values.flags.writeable = False
     return TotientTable(values)
 
 
 def phi_summatory(x: int) -> int:
     """Phi(x) = sum_{n<=x} phi(n), exactly; Phi(x)/x^2 approaches 3/pi^2."""
-    return int(totient_sieve(x).values.sum())
+    return int(totient_sieve(x).values.sum(dtype=np.int64))
 
 
 def _coprime_rows(x: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -155,15 +155,13 @@ def farey_sequence(x: int) -> FareySequence:
     # Every value stays below 2^(3w+1) <= 2^40 for x <= MAX_FAREY_ORDER.
     w = x.bit_length()
     s = 2 * w
-    count = int(_totients(x).sum())
-    # The keys are written into the first count slots of the output's flat
-    # view and sorted there, then unpacked from the end one SUM_BLOCK slice
-    # at a time: pair i takes flat[2i : 2i + 2], at or past key i, so each
-    # slice's keys are copied out before its pairs overwrite them, and the
-    # keys below the slice are never touched.
-    pairs = np.empty((count, 2), dtype=np.int64)
-    flat = pairs.reshape(-1)
-    key = flat[:count]
+    count = int(_totients(x).sum(dtype=np.int64))
+    # Pair i's two int32 fill exactly the 8 bytes of int64 key i, so the keys
+    # are written and sorted in the output itself, then unpacked one
+    # SUM_BLOCK slice at a time through one reused buffer: a slice's pairs
+    # overwrite only its own keys, which the buffer already holds.
+    pairs = np.empty((count, 2), dtype=np.int32)
+    key = pairs.reshape(-1).view(np.int64)
     start = 0
     for c, b in _coprime_rows(x):
         row = key[start : start + b.size]
@@ -173,14 +171,16 @@ def farey_sequence(x: int) -> FareySequence:
         row |= c
         start += b.size
     key.sort()
-    for stop in range(count, 0, -SUM_BLOCK):
-        start = max(stop - SUM_BLOCK, 0)
-        q = key[start:stop].copy()
-        np.bitwise_and(q, (1 << w) - 1, out=pairs[start:stop, 1])
+    buffer = np.empty(min(SUM_BLOCK, count), dtype=np.int64)
+    for start in range(0, count, SUM_BLOCK):
+        out = pairs[start : start + SUM_BLOCK]
+        q = buffer[: len(out)]
+        q[...] = key[start : start + len(out)]
+        np.bitwise_and(q, (1 << w) - 1, out=out[:, 1])
         q >>= w
-        q *= pairs[start:stop, 1]
+        q *= out[:, 1]
         q += 1 << (s - 1)
-        np.right_shift(q, s, out=pairs[start:stop, 0])
+        np.right_shift(q, s, out=out[:, 0])
     pairs.flags.writeable = False
     return FareySequence(pairs)
 
@@ -222,7 +222,7 @@ def weyl_average(integrand: Integrand, x: int) -> float:
     total = exact_sum(batches())
     if not math.isfinite(total):
         raise EvaluationError(f"average of {integrand.label!r} over order {x} is not finite")
-    return total / int(_totients(x).sum())
+    return total / int(_totients(x).sum(dtype=np.int64))
 
 
 def coprime_density(n: int) -> float:

@@ -72,7 +72,7 @@ class TestTotientSieve:
         table = totient_sieve(1)
         assert table.values.tolist() == [0, 1]
         assert totient_sieve(10).values[10] == 4
-        assert totient_sieve(10).values.dtype == np.int64
+        assert totient_sieve(10).values.dtype == np.int32
 
     def test_limit_is_derived_from_values(self):
         assert [f.name for f in fields(TotientTable)] == ["values"]
@@ -101,14 +101,15 @@ class TestTotientSieve:
         assert totient_sieve(x).values.tolist() == linear_totients(x)
 
     def test_peak_memory_stays_near_the_result(self):
-        # the int32 phi and cofactors, then the int64 table copied from phi: 1.5x the table
+        # the table is the int32 phi itself; the peak adds the int32 cofactors
+        # and one p = 2 slice temporary: 2.501x the table at 10^6
         tracemalloc.start()
         try:
             table = totient_sieve(10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * table.values.nbytes
+        assert peak <= 2.6 * table.values.nbytes
 
     def test_divisor_sum_identity(self):
         values = totient_sieve(200).values
@@ -208,7 +209,7 @@ class TestFareySequence:
     )
     def test_matches_float_sort_reference(self, x):
         fractions = farey_sequence(x).fractions
-        assert fractions.dtype == np.int64
+        assert fractions.dtype == np.int32
         np.testing.assert_array_equal(fractions, farey_sequence_reference(x))
 
     @given(x=st.integers(min_value=1, max_value=3000))
@@ -217,7 +218,7 @@ class TestFareySequence:
         np.testing.assert_array_equal(farey_sequence(x).fractions, farey_sequence_reference(x))
 
     def test_neighbor_determinants_vectorized(self):
-        # exact int64 determinants check the integer-key sort independently
+        # exact integer determinants check the integer-key sort independently
         # of the references, which sort by the float b/c
         fractions = farey_sequence(2000).fractions
         b, c = fractions[:, 0], fractions[:, 1]
@@ -226,16 +227,16 @@ class TestFareySequence:
 
     @pytest.mark.parametrize("block", [1, 2, 7])
     def test_unpacks_across_slice_boundaries(self, monkeypatch, block):
-        # pairs are unpacked from the end one SUM_BLOCK slice of keys at a
-        # time, over the keys they overwrite
+        # pairs are unpacked one SUM_BLOCK slice of keys at a time, each
+        # over its own keys
         monkeypatch.setattr(farey, "SUM_BLOCK", block)
         for x in range(1, 61):
             assert pairs(farey_sequence(x)) == brute_farey(x)
 
     def test_peak_memory_stays_near_the_result(self):
         # the keys are sorted and unpacked inside the returned pairs, so the
-        # peak is the pairs plus one SUM_BLOCK slice of keys and the coprime
-        # walk's rows: 1.109x the pairs at x = 1000
+        # peak is the pairs plus the one reused SUM_BLOCK buffer of keys and
+        # the coprime walk's rows: 1.137x the pairs at x = 1000
         tracemalloc.start()
         try:
             seq = farey_sequence(1000)
