@@ -3,8 +3,8 @@
 A small laboratory around the symmetric matrices with entries
 f(min(i,j)/max(i,j)): streaming entrywise m-norms and their integral
 limits, a self-contained log-Gamma evaluator with its classical identity
-suite, Farey-sequence equidistribution, a Householder and Sturm-multisection
-eigensolver for spectral sums, and the Hadamard last-two-rows oscillation bound.
+suite, Farey-sequence equidistribution, spectral sums from numpy's LAPACK
+eigenvalues, and the Hadamard last-two-rows oscillation bound.
 """
 
 from .eigen import (

@@ -11,6 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from ratiolab.farey import farey_sequence
@@ -48,6 +49,16 @@ def ln_gamma_reference(x: np.ndarray) -> np.ndarray:
     out = np.asarray(LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(s))
     out[small] = out[small] - np.log(x[small])
     return out[()]
+
+
+def eigenvalues_reference(full) -> np.ndarray:
+    """Eigenvalues of the symmetric array full, ascending float64, by
+    mpmath.eigsy (Householder reduction and implicit QL) at 30 digits on the
+    exact float64 entries: no LAPACK or BLAS call and no float64 rounding
+    before the final conversion."""
+    with mpmath.workdps(30):
+        values = mpmath.eigsy(mpmath.matrix(np.asarray(full, dtype=np.float64).tolist()), eigvals_only=True)
+    return np.sort(np.array([float(v) for v in values]))
 
 
 def sine_half_product_log_reference(k: int) -> float:

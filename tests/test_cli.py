@@ -196,7 +196,7 @@ PINNED_OUTPUTS = {
         "50,774,0.50064599483204131,0.5,0.00064599483204130781,0.61880000000000002\n"
         "500,76116,0.50000656892112039,0.5,6.5689211203867615e-06,0.60892400000000002\n"
     ),
-    # order 1 is a lone diagonal entry: no reduction and no multisection step
+    # order 1: LAPACK returns the one entry of a 1 x 1 matrix as its eigenvalue
     "eigen --f identity --orders 1 --format json": (
         '{\n  "meta": {\n    "command": "eigen",\n    "integrand": "identity",\n'
         '    "orders": [\n      1\n    ]\n  },\n'
