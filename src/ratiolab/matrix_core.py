@@ -20,12 +20,11 @@ from .errors import CapacityError, EvaluationError
 
 #: Absolute tolerance of predict_limit's adaptive quadrature.
 QUADRATURE_TOL = 1e-10
-#: Subdivision budget of predict_limit (panel count before giving up).
-QUADRATURE_PANEL_BUDGET = 2**20
+#: Work budget of predict_limit: panels refined (two evaluations each) before giving up.
+QUADRATURE_PANEL_BUDGET = 2**19
 #: Left edge of the quadrature interval, which is open at 0: no integrand is
-#: evaluated at or below it.  The mass cut off is at most 2^-60 max |f|^m for
-#: bounded f, and Gamma(m + 1, 60 ln 2) for |ln Gamma|^m: 3.7e-17, 1.6e-15,
-#: 6.7e-14, 2.9e-12 and 1.2e-10 at m = 1..5, the last past QUADRATURE_TOL.
+#: evaluated at or below it.  predict_limit refuses an integrand whose mass
+#: below the edge it cannot bound by QUADRATURE_TOL (see there).
 OPEN_LEFT_EDGE = 2.0**-60
 
 #: Values exact_sum extracts at once: its stream fills one block of this
@@ -224,15 +223,22 @@ def norm_report(spec: SampledMatrixSpec, m: float, predicted: float) -> NormRepo
 def predict_limit(integrand: Integrand, m: float) -> float:
     """Adaptive-quadrature value of the integral of |f(x)|^m over (0, 1].
 
-    Composite Simpson with bisection; each split halves the local
-    tolerance, so the total error stays below QUADRATURE_TOL.  The panels
-    are refined level by level, and all unfinished panels of a level are
-    evaluated in one call of the integrand; the accepted panels are summed
-    exactly.  The interval is open at 0 (no evaluation at or below
-    OPEN_LEFT_EDGE), which handles integrands with an integrable
-    logarithmic singularity at the origin.  Raises EvaluationError, naming
-    the smallest bad point of the batch, as soon as a value |f(x)|^m is not
-    finite, and CapacityError once QUADRATURE_PANEL_BUDGET panels are spent.
+    Composite Simpson with bisection.  A panel [a, b] whose two halves sum
+    to S is accepted when delta = S - whole is finite and
+    |delta| <= max(15 QUADRATURE_TOL (b - a), 16 eps S): its share of the
+    tolerance, or the roundoff of its own Simpson sums where that is larger
+    (Gander and Gautschi, "Adaptive quadrature - revisited", BIT 40, 2000).
+    The panels are refined level by level, and all unfinished panels of a
+    level are evaluated in one call of the integrand; the accepted panels
+    are summed exactly.  The interval is open at 0 (no evaluation at or
+    below a = OPEN_LEFT_EDGE), which handles integrands with an integrable
+    singularity at the origin.  The mass below a is never sampled, so the
+    first samples must bound it: CapacityError is raised at once when
+    2 a |f(a)|^m > QUADRATURE_TOL, which bounds that mass by QUADRATURE_TOL
+    for x^-p and |ln x|^m wherever it lets them through.  Raises
+    EvaluationError, naming the smallest bad point of the batch, as soon as
+    a value |f(x)|^m is not finite, and CapacityError once
+    QUADRATURE_PANEL_BUDGET panels are spent.
     """
     _check_exponent(m)
 
@@ -251,13 +257,17 @@ def predict_limit(integrand: Integrand, m: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = OPEN_LEFT_EDGE, 1.0
         fa, fmid, fb = g(np.array([a, 0.5 * (a + b), b]))
+        if 2.0 * a * fa > QUADRATURE_TOL:
+            raise CapacityError(
+                f"quadrature for {integrand.label!r}^({m}) cannot bound the mass "
+                f"below the left edge x = {a}"
+            )
         # one column per unfinished panel: a, b, f(a), f(mid), f(b), with mid = (a + b) / 2
         panels = np.array([[a], [b], [fa], [fmid], [fb]])
-        used = 3
-        tol = QUADRATURE_TOL
+        used = 0
         accepted: list[np.ndarray] = []
         while panels.shape[1]:
-            used += 2 * panels.shape[1]
+            used += panels.shape[1]
             if used > QUADRATURE_PANEL_BUDGET:
                 raise CapacityError(
                     f"quadrature for {integrand.label!r}^({m}) exceeded "
@@ -268,17 +278,16 @@ def predict_limit(integrand: Integrand, m: float) -> float:
             lm = 0.5 * (a + mid)
             rm = 0.5 * (mid + b)
             flm, frm = np.split(g(np.concatenate([lm, rm])), 2)
-            left = simpson(a, mid, fa, flm, fmid)
-            right = simpson(mid, b, fmid, frm, fb)
-            delta = left + right - simpson(a, b, fa, fmid, fb)
+            halves = simpson(a, mid, fa, flm, fmid) + simpson(mid, b, fmid, frm, fb)
+            delta = halves - simpson(a, b, fa, fmid, fb)
             # a panel too narrow to split re-samples its own points, so its delta is 0
-            done = np.abs(delta) <= 15.0 * tol
-            accepted.append((left + right + delta / 15.0)[done])
+            bound = np.maximum(15.0 * QUADRATURE_TOL * (b - a), 16.0 * math.ulp(1.0) * halves)
+            done = np.isfinite(delta) & (np.abs(delta) <= bound)
+            accepted.append((halves + delta / 15.0)[done])
             # each unfinished panel [a, b] splits into [a, mid] and [mid, b]
             panels = np.concatenate(
                 [np.stack([a, mid, fa, flm, fmid]), np.stack([mid, b, fmid, frm, fb])], axis=1
             )[:, np.tile(~done, 2)]
-            tol *= 0.5
     return exact_sum(accepted)
 
 

@@ -149,9 +149,9 @@ class TestOutputContracts:
         assert row["trace"] == f"{float(row['trace']):.17g}"
 
 
-#: stdout of runs whose values need no libm call or SIMD-dependent rounding
-#: (identity and constant integrands, integer Hadamard checks), so the bytes
-#: are the same on every IEEE-754 platform.
+#: stdout of runs whose values are exactly rounded sums (or integer Hadamard
+#: checks), so single samples that move by an ulp with numpy's SIMD kernels
+#: leave the bytes alone; CI also reruns these pins with the SIMD targets off.
 PINNED_OUTPUTS = {
     "norm --f identity --m 1": (
         "n,raw,normalized,predicted,abs_error\n"
@@ -320,7 +320,19 @@ class TestExitCodes:
     def test_overflowing_quadrature_exits_one_without_warning(self, capsys):
         # e^709 is finite, but the Simpson sums of its 709th power overflow
         err = self.exit_one(capsys, ["norm", "--f", "exp", "--m", "709", "--orders", "4"])
-        assert err == "error: quadrature for 'exp'^(709.0) exceeded 1048576 panels\n"
+        assert err == "error: quadrature for 'exp'^(709.0) exceeded 524288 panels\n"
+
+    def test_mass_below_the_quadrature_edge_exits_one(self, capsys):
+        err = self.exit_one(capsys, ["norm", "--f", "lngamma", "--m", "5", "--orders", "4"])
+        assert err == (
+            "error: quadrature for 'lngamma'^(5.0) cannot bound the mass below the "
+            f"left edge x = {matrix_core.OPEN_LEFT_EDGE}\n"
+        )
+
+    def test_exp_at_twenty_integrates(self, capsys):
+        code, out, err = run_cli(capsys, ["norm", "--f", "exp", "--m", "20", "--orders", "4"])
+        assert (code, err) == (0, "")
+        assert parse_csv(out)[0]["predicted"] == "24258259.720489509"
 
     def test_unwritable_out_path_exits_one_with_diagnostic(self, capsys, tmp_path):
         target = tmp_path / "missing" / "r.csv"

@@ -486,10 +486,33 @@ class TestPredictLimit:
         # mpmath.quad(lambda x: mpmath.loggamma(x) ** 2, [0, 1]) at 30 digits
         assert predict_limit(LNGAMMA, 2.0) == pytest.approx(1.86631708379356208, abs=1e-9)
 
-    def test_non_integrable_integrand_exhausts_budget(self):
-        harmonic = Integrand(eval=lambda x: 1.0 / x, label="reciprocal")
-        with pytest.raises(CapacityError, match="exceeded 1048576 panels"):
-            predict_limit(harmonic, 1.0)
+    def test_exp_at_twenty_stops_on_the_roundoff_test(self):
+        # |exp|^20 reaches e^20 = 4.9e8, where 1e-10 per panel is below the panels' roundoff
+        expected = math.expm1(20.0) / 20.0
+        assert abs(predict_limit(EXP, 20.0) - expected) <= 1e-15 * expected
+
+    def test_lngamma_at_four_keeps_its_bits(self):
+        # the deepest left-edge refinement a preset reaches that passes the edge check
+        assert predict_limit(LNGAMMA, 4.0).hex() == "0x1.763b73852b390p+4"
+
+    @pytest.mark.parametrize(
+        "f, m",
+        [
+            (lambda x: 1.0 / x, 1.0),
+            (lambda x: x**-0.9, 1.0),
+            (lambda x: x**-0.5, 1.0),
+            (LNGAMMA.eval, 5.0),
+        ],
+        ids=["reciprocal", "inverse-0.9-power", "inverse-sqrt", "lngamma-fifth-power"],
+    )
+    def test_unbounded_mass_below_the_edge_fails_at_once(self, f, m):
+        # 2 a |f(a)|^m > QUADRATURE_TOL at a = 2^-60: 2, 2^-5, 2^-29 and 2.2e-10
+        message = re.escape(
+            f"quadrature for 'f'^({m}) cannot bound the mass below the left edge "
+            f"x = {OPEN_LEFT_EDGE}"
+        )
+        with pytest.raises(CapacityError, match=message):
+            predict_limit(Integrand(eval=f, label="f"), m)
 
     def test_overflowing_simpson_sums_exhaust_budget(self):
         # every sample is finite, but a panel's Simpson sum overflows, so its delta
@@ -497,17 +520,17 @@ class TestPredictLimit:
         spike = Integrand(
             eval=lambda x: np.where(np.abs(x - 0.5) < 1e-3, 1e308, 1.0), label="spike"
         )
-        with pytest.raises(CapacityError, match="exceeded 1048576 panels"):
+        with pytest.raises(CapacityError, match="exceeded 524288 panels"):
             predict_limit(spike, 1.0)
 
     @pytest.mark.parametrize(
         "f, expected, tol",
         [
-            # left-edge panels refine to depth 112; the integral over [2^-60, 1] is 2 - 2^-29
-            (lambda x: x**-0.5, 2.0 - 2.0**-29, 1e-14),
+            # left-edge panels refine to depth 71; the integral over [2^-60, 1] is (1 - 2^-36)/0.6
+            (lambda x: x**-0.4, (1.0 - 2.0**-36) / 0.6, 1e-14),
             (lambda x: np.where(x > 0.3, 1.0, 0.0), 0.7, 1e-15),
         ],
-        ids=["inverse-sqrt", "step-at-0.3"],
+        ids=["inverse-0.4-power", "step-at-0.3"],
     )
     def test_refinement_stops_on_the_richardson_test(self, f, expected, tol):
         assert abs(predict_limit(Integrand(eval=f, label="f"), 1.0) - expected) <= tol
