@@ -90,7 +90,9 @@ def _totients(x: int) -> np.ndarray:
     phi = np.arange(x + 1, dtype=np.int32)
     rest = np.arange(x + 1, dtype=np.int32)
     for p in _small_primes(x):
-        phi[p::p] -= phi[p::p] // p
+        # exact: p still divides phi[n], as only primes below p were applied
+        phi[p::p] //= p
+        phi[p::p] *= p - 1
         q = p
         while q <= x:
             rest[q::q] //= p

@@ -75,8 +75,8 @@ def ln_gamma(x: np.ndarray) -> np.ndarray:
     twice, since z + (g + 1/2) rounds once and differs; and the terms are
     added to c_0 one row at a time, in coefficient order, since
     np.add.reduce over the coefficient axis is not sequential for a
-    one-element input.  Peak memory is about 105 bytes per value, the
-    result included, and 24 more per value below 1/2.
+    one-element input.  Peak memory is about 121 bytes per value, the
+    result included, whichever side of 1/2 the values lie on.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
@@ -97,7 +97,7 @@ def ln_gamma(x: np.ndarray) -> np.ndarray:
     out += LN_SQRT_2PI
     out -= t
     out += np.log(s, out=s)
-    out[small] -= np.log(flat[small])
+    out -= np.log(np.where(small, flat, 1.0))
     return out.reshape(x.shape)[()]
 
 

@@ -265,6 +265,26 @@ class TestExitCodes:
             main(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("picks", [(0, 0), (1, 0)], ids=["repeated", "decreasing"])
+    @pytest.mark.parametrize(
+        "argv,values",
+        [
+            (["norm", "--orders"], ("4", "8")),
+            (["eigen", "--orders"], ("4", "8")),
+            (["farey", "--x"], ("4", "8")),
+            (["hadamard", "--k"], ("2", "3")),
+            (["gamma", "--orders"], ("4", "8")),
+            (["gamma", "--mode", "reflection", "--points"], ("0.25", "0.5")),
+            (["gamma", "--mode", "duplication", "--points"], ("0.5", "1.0")),
+        ],
+        ids=["norm", "eigen", "farey", "hadamard", "gamma", "reflection", "duplication"],
+    )
+    def test_lists_must_strictly_increase(self, capsys, argv, values, picks):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [",".join(values[i] for i in picks)])
+        assert excinfo.value.code == 2
+        assert f"argument {argv[-1]}: must be strictly increasing" in capsys.readouterr().err
+
     @staticmethod
     def exit_one(capsys, argv):
         code, out, err = run_cli(capsys, argv)
@@ -420,13 +440,12 @@ class TestBudgetsCheckedFirst:
         assert out == ""
         assert err == f"error: {error}\n"
 
-    def test_points_keep_their_order(self, capsys):
-        # the duplication points have no budget: the first failing point is
-        # the one named
+    def test_points_run_largest_first(self, capsys):
+        # both points overflow; the largest runs first and is the one named
         argv = ["gamma", "--mode", "duplication", "--points", "1e306,1e307"]
         code, _, err = run_cli(capsys, argv)
         assert code == 1
-        assert err == "error: duplication residual is not finite at z = 1e+306\n"
+        assert err == "error: duplication residual is not finite at z = 1e+307\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -436,8 +455,9 @@ class TestBudgetsCheckedFirst:
             ["norm", "--orders", "1,2,3"],
             ["gamma", "--mode", "rowproduct", "--orders", "2,3,4"],
             ["hadamard", "--k", "0,1,2"],
+            ["gamma", "--mode", "duplication", "--points", "0.5,1,2"],
         ],
-        ids=["farey", "eigen", "norm", "rowproduct", "hadamard"],
+        ids=["farey", "eigen", "norm", "rowproduct", "hadamard", "duplication"],
     )
     def test_rows_come_in_the_order_given(self, capsys, argv):
         code, out, _ = run_cli(capsys, argv)

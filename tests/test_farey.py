@@ -102,14 +102,14 @@ class TestTotientSieve:
 
     def test_peak_memory_stays_near_the_result(self):
         # the table is the int32 phi itself; the peak adds the int32 cofactors
-        # and one p = 2 slice temporary: 2.501x the table at 10^6
+        # and the boolean rest <= 1 mask: 2.250x the table at 10^6
         tracemalloc.start()
         try:
             table = totient_sieve(10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.6 * table.values.nbytes
+        assert peak <= 2.3 * table.values.nbytes
 
     def test_divisor_sum_identity(self):
         values = totient_sieve(200).values
