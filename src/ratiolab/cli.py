@@ -12,6 +12,7 @@ Exit status: 0 on success, 2 on usage errors, 1 on computation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -248,7 +249,9 @@ def _run_sweep(args) -> tuple[list[dict], dict]:
     return _largest_first(sweep.row, values), meta
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="ratiolab",
         description="Numerical experiments on ratio-sampled symmetric matrices",

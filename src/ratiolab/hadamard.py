@@ -35,7 +35,8 @@ class SignMatrix:
             raise ValueError(f"expected a square 2-D array, got shape {a.shape}")
         if not np.issubdtype(a.dtype, np.integer):
             raise ValueError(f"entries must have an integer dtype, got {a.dtype}")
-        if not np.all((a == 1) | (a == -1)):  # before the cast, which wraps 257 to 1
+        # reductions on the caller's dtype, before the cast, which wraps 257 to 1
+        if a.size and not (a.min() >= -1 and a.max() <= 1 and np.count_nonzero(a) == a.size):
             raise ValueError("entries must all be +1 or -1")
         a = a.astype(np.int8)  # a copy, even when a is int8 already
         a.flags.writeable = False
@@ -76,9 +77,13 @@ def sylvester(k: int) -> SignMatrix:
         raise ValueError(f"k must be >= 0, got {k}")
     if k > DENSE_LIMIT.bit_length() - 1:  # checked before a huge 2^k is formed
         raise CapacityError(f"order 2^{k} exceeds dense limit {DENSE_LIMIT}")
-    h = np.array([[1]], dtype=np.int8)
-    for _ in range(k):
-        h = np.block([[h, h], [h, -h]])
+    h = np.empty((2**k, 2**k), dtype=np.int8)
+    h[0, 0] = 1
+    for m in (2**i for i in range(k)):  # double the top-left m x m block in place
+        top = h[:m, :m]
+        h[:m, m : 2 * m] = top
+        h[m : 2 * m, :m] = top
+        np.negative(top, out=h[m : 2 * m, m : 2 * m])
     return SignMatrix(h)
 
 

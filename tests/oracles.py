@@ -200,6 +200,17 @@ def last_two_rows_mismatches(entries) -> int:
     return count
 
 
+def sylvester_parity(k: int) -> np.ndarray:
+    """Order-2^k Sylvester matrix entry by entry, without any doubling:
+    entry (i, j) is (-1)^popcount(i & j), summed here one bit at a time."""
+    index = np.arange(2**k)
+    both = np.bitwise_and.outer(index, index)
+    parity = np.zeros_like(both)
+    for bit in range(k):
+        parity ^= (both >> bit) & 1
+    return 1 - 2 * parity
+
+
 def ratio_hadamard_search(n: int) -> list[np.ndarray]:
     """Every Hadamard matrix of order n with entries s(min(i,j)/max(i,j)) for
     some sign s on the reduced fractions, as int64 arrays, by a pruned search.

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from ratiolab import eigen, farey, hadamard, matrix_core, specfun
-from ratiolab.cli import main
+from ratiolab.cli import build_parser, main
 from ratiolab.eigen import MAX_EIGEN_ORDER
 from ratiolab.farey import MAX_FAREY_ORDER
 from ratiolab.matrix_core import MAX_NORM_ORDER
@@ -225,6 +225,18 @@ class TestPinnedOutputs:
         assert code == 0
         assert err == ""
         assert out == PINNED_OUTPUTS[command]
+
+    def test_one_parser_per_process_keeps_no_state(self, capsys):
+        # a usage error and a computation error first leave the pinned bytes,
+        # the default --orders included, as they are
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["norm", "--f", "exp", "--m", "3", "--orders", "8,4"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, ["hadamard", "--k", "12"])[0] == 1
+        command = "norm --f identity --m 1"
+        assert run_cli(capsys, command.split()) == (0, PINNED_OUTPUTS[command], "")
 
 
 class TestExitCodes:

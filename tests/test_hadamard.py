@@ -20,7 +20,12 @@ from ratiolab.hadamard import (
     sylvester,
 )
 
-from oracles import last_two_rows_mismatches, ratio_hadamard_brute, ratio_hadamard_search
+from oracles import (
+    last_two_rows_mismatches,
+    ratio_hadamard_brute,
+    ratio_hadamard_search,
+    sylvester_parity,
+)
 
 
 def sign_matrix(rows) -> SignMatrix:
@@ -39,6 +44,13 @@ class TestSylvester:
         gram = matrix.entries @ matrix.entries.T
         assert np.array_equal(gram, 8 * np.eye(8, dtype=np.int64))
         assert is_hadamard(matrix)
+
+    @pytest.mark.parametrize("k", range(DENSE_LIMIT.bit_length()))
+    def test_entries_match_the_parity_reference(self, k):
+        entries = sylvester(k).entries
+        assert entries.dtype == np.int8
+        assert not entries.flags.writeable
+        np.testing.assert_array_equal(entries, sylvester_parity(k))
 
     def test_symmetric_by_construction(self):
         for k in range(7):
@@ -103,6 +115,39 @@ class TestSignMatrix:
         # int8 wraps 257 and -255 to 1 and 255 to -1: the check must see the caller's values
         with pytest.raises(ValueError, match="\\+1 or -1"):
             SignMatrix(np.array([[value]]))
+
+    @pytest.mark.parametrize(
+        "value,dtype",
+        [
+            (0, np.int64),
+            (2, np.int64),
+            (-2, np.int64),
+            (-128, np.int8),
+            (32767, np.int16),
+            (np.iinfo(np.int64).min, np.int64),
+            (255, np.uint8),
+        ],
+        ids=["0", "2", "-2", "int8-min", "int16-max", "int64-min", "uint8-max"],
+    )
+    def test_rejects_every_value_but_the_signs(self, value, dtype):
+        entries = np.ones((2, 2), dtype=dtype)
+        entries[1, 1] = value
+        with pytest.raises(ValueError, match="\\+1 or -1"):
+            SignMatrix(entries)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.empty((0, 0), dtype=np.int64),
+            np.array([[1, -1], [-1, -1]], dtype=np.int16),
+            np.ones((2, 2), dtype=np.uint8),
+        ],
+        ids=["0x0", "int16", "uint8-ones"],
+    )
+    def test_accepts_signs_in_any_integer_dtype(self, entries):
+        matrix = SignMatrix(entries)
+        assert matrix.entries.dtype == np.int8
+        np.testing.assert_array_equal(matrix.entries, entries)
 
     def test_entries_frozen(self):
         matrix = sylvester(2)

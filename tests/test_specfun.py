@@ -116,6 +116,18 @@ class TestLnGamma:
         monkeypatch.setattr(np, "sin", _refuse)
         ln_gamma(np.arange(1, 101) / 100)
 
+    @pytest.mark.parametrize("low,high", [(1e-6, 0.5), (0.5, 100.0)], ids=["below-half", "from-half"])
+    def test_peak_memory_per_value(self, low, high):
+        # the (10, size) array and the result: about 89 bytes per value
+        x = np.random.default_rng(0).uniform(low, high, 10**6)
+        tracemalloc.start()
+        try:
+            ln_gamma(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * x.size
+
     def test_every_fraction_up_to_order_120_against_mpmath(self):
         # the 4,386 distinct j/k with k <= 120, the grid the matrix routes sample
         pairs = farey_sequence(120).fractions
