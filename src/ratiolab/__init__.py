@@ -42,7 +42,6 @@ from .matrix_core import (
     exact_sum,
     matrix_entry,
     norm_power,
-    norm_report,
     predict_limit,
     sample_row,
     weighted_cesaro,
@@ -90,7 +89,6 @@ __all__ = [
     "materialize",
     "matrix_entry",
     "norm_power",
-    "norm_report",
     "oscillation_bound",
     "phi_summatory",
     "predict_limit",

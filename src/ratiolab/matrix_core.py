@@ -61,6 +61,8 @@ class SampledMatrixSpec:
     order: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.order, bool) or not isinstance(self.order, (int, np.integer)):
+            raise ValueError(f"order must be an integer, got {self.order!r}")
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
 
@@ -215,11 +217,6 @@ def norm_power(spec: SampledMatrixSpec, m: float) -> float:
     return total
 
 
-def norm_report(spec: SampledMatrixSpec, m: float, predicted: float) -> NormReport:
-    """Raw and normalized m-norm power of the matrix against a predicted limit."""
-    return NormReport(spec.order, float(m), norm_power(spec, m), float(predicted))
-
-
 def predict_limit(integrand: Integrand, m: float) -> float:
     """Adaptive-quadrature value of the integral of |f(x)|^m over (0, 1].
 
@@ -297,7 +294,10 @@ def weighted_cesaro(terms: Sequence[float]) -> float:
     For sequences with a_k -> b this weighted mean approaches b/2.  A term
     k*a_k or a sum past the float range gives inf or nan, as exact_sum does.
     """
-    terms = np.array([float(t) for t in terms])
+    try:
+        terms = np.array([float(t) for t in terms])
+    except OverflowError:  # an integer past the float range
+        raise ValueError("terms must all be finite") from None
     if not terms.size:
         raise ValueError("terms must be nonempty")
     if not np.isfinite(terms).all():
@@ -321,5 +321,5 @@ def convergence_table(
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValueError(f"orders must be strictly increasing, got {orders}")
     predicted = predict_limit(integrand, m)
-    reports = [norm_report(SampledMatrixSpec(integrand, n), m, predicted) for n in orders[::-1]]
-    return reports[::-1]
+    raw = {n: norm_power(SampledMatrixSpec(integrand, n), m) for n in orders[::-1]}
+    return [NormReport(n, float(m), raw[n], predicted) for n in orders]

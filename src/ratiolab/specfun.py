@@ -105,7 +105,7 @@ def ln_gamma(x: np.ndarray) -> np.ndarray:
 
 
 #: ln Gamma packaged for matrix sampling; ln Gamma(x) >= 0 on (0, 1].
-LN_GAMMA_INTEGRAND = Integrand(eval=ln_gamma, label="lngamma")
+LNGAMMA = Integrand(eval=ln_gamma, label="lngamma")
 
 
 def _grid(start: int, stop: int) -> Iterator[np.ndarray]:
@@ -219,5 +219,5 @@ def gamma_integral_via_matrix(n: int) -> float:
     it through the matrix route cross-validates the Lanczos evaluator
     against pure elementary arithmetic.
     """
-    spec = SampledMatrixSpec(LN_GAMMA_INTEGRAND, n)
+    spec = SampledMatrixSpec(LNGAMMA, n)
     return norm_power(spec, 1.0) / (n * n)

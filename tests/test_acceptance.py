@@ -14,7 +14,7 @@ from ratiolab.eigen import jacobi_eigenvalues, materialize, spectral_sum_report
 from ratiolab.farey import coprime_density, farey_sequence, phi_summatory, weyl_average
 from ratiolab.hadamard import Verdict, is_hadamard, oscillation_bound, spectral_sum_sq, sylvester
 from ratiolab.integrands import EXP
-from ratiolab.matrix_core import SampledMatrixSpec, norm_report, norm_power, weighted_cesaro
+from ratiolab.matrix_core import NormReport, SampledMatrixSpec, norm_power, weighted_cesaro
 from ratiolab.specfun import (
     duplication_residual,
     euler_reflection_residual,
@@ -41,7 +41,7 @@ def test_criterion_1_norm_limit_m1():
     orders = [64, 128, 256, 512, 1024, 2048, 4096]
     started = time.perf_counter()
     reports = [
-        norm_report(SampledMatrixSpec(EXP, n), 1.0, E - 1) for n in orders
+        NormReport(n, 1.0, norm_power(SampledMatrixSpec(EXP, n), 1.0), E - 1) for n in orders
     ]
     elapsed = time.perf_counter() - started
     bounds_ok = all(r.abs_error <= 5 / r.order for r in reports)

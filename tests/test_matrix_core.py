@@ -28,7 +28,6 @@ from ratiolab.matrix_core import (
     exact_sum,
     matrix_entry,
     norm_power,
-    norm_report,
     predict_limit,
     sample_row,
     weighted_cesaro,
@@ -220,6 +219,13 @@ class TestMatrixEntry:
         with pytest.raises(ValueError):
             SampledMatrixSpec(EXP, 0)
 
+    def test_order_must_be_an_integer(self):
+        # a float order would fail later in norm_power's range, and a bool is not an order
+        for order in (2.5, True):
+            with pytest.raises(ValueError, match="order must be an integer"):
+                SampledMatrixSpec(EXP, order)
+        assert SampledMatrixSpec(EXP, np.int64(3)).order == 3
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_entries_are_row_samples_bitwise(self, name):
         # one evaluation path: the scalar entry and the row that norm_power
@@ -381,7 +387,7 @@ class TestNormPower:
 
 class TestNormReport:
     def test_order_two_report_values(self):
-        report = norm_report(SampledMatrixSpec(EXP, 2), 1.0, E - 1)
+        report = NormReport(2, 1.0, norm_power(SampledMatrixSpec(EXP, 2), 1.0), E - 1)
         assert report.normalized == report.raw_norm_power / 4
         assert report.normalized == pytest.approx((2 * E + 2 * math.sqrt(E)) / 4, abs=1e-12)
         assert report.abs_error == abs(report.normalized - report.predicted_limit)
@@ -400,7 +406,7 @@ class TestNormReport:
     )
     def test_error_shrinks_as_order_doubles(self, m, predicted):
         errors = [
-            norm_report(SampledMatrixSpec(EXP, n), m, predicted).abs_error
+            NormReport(n, m, norm_power(SampledMatrixSpec(EXP, n), m), predicted).abs_error
             for n in (32, 64, 128)
         ]
         assert errors[0] > errors[1] > errors[2]
@@ -602,8 +608,10 @@ class TestWeightedCesaro:
             weighted_cesaro([])
 
     def test_non_finite_terms_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_cesaro([1.0, math.inf])
+        # float(10**400) raises OverflowError; that term is not finite either
+        for terms in ([1.0, math.inf], [1.0, 10**400]):
+            with pytest.raises(ValueError, match="terms must all be finite"):
+                weighted_cesaro(terms)
 
 
 class TestConvergenceTable:
