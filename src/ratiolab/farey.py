@@ -12,10 +12,13 @@ row per denominator c: the numerators b <= c with gcd(b, c) = 1, found
 without any gcd as the survivors of a boolean mask from which the multiples
 of each prime factor of c are cleared.  The average samples f at b/c in
 batches of consecutive rows, one integrand call per batch of at least
-SUM_BLOCK values; farey_sequence packs each pair into one exact int64 key
-that sorts in order of b/c, and unpacks the pairs from the sorted keys.
-It counts the pairs first, as Phi(x) from the totient sieve, so that the
-keys are written, sorted and unpacked inside the one array it returns.
+SUM_BLOCK values; farey_sequence packs each pair below 1/2 into one exact
+int64 key that sorts in order of b/c, unpacks those pairs from the sorted
+keys, and writes the rest by the symmetry b/c <-> (c - b)/c about 1/2
+(Hardy & Wright, An Introduction to the Theory of Numbers, section 3.1):
+1/2, the mirrors of the lower half in reverse order, and 1/1.  It counts
+the pairs first, as Phi(x) from the totient sieve, so that the keys are
+written, sorted and unpacked inside the one array it returns.
 
 Both the walk and totient_sieve need only the primes up to sqrt(x): every
 n <= x has at most one prime factor above sqrt(x), and it is what remains
@@ -36,7 +39,7 @@ from .matrix_core import SUM_BLOCK, Integrand, exact_sum
 #: Largest sieve/table size accepted before raising CapacityError.
 MAX_SIEVE_LIMIT = 2_000_000
 #: Largest order farey_sequence materializes: Phi(5000) = 7.6M int32 pairs (58 MiB) take
-#: about 0.19-0.23 s and 87 MiB peak RSS to build in a fresh process (2-core x86).
+#: about 0.12-0.22 s and 87 MiB peak RSS to build in a fresh process (2-core x86).
 MAX_FAREY_ORDER = 5000
 #: Largest order weyl_average accepts: its O(x^2) samples take 1.1-1.8 s at x = 20000 for
 #: exp, identity and const1, and about 6 s for lngamma (2-core x86).
@@ -149,7 +152,7 @@ def farey_sequence(x: int) -> FareySequence:
         raise ValueError(f"x must be >= 1, got {x}")
     if x > MAX_FAREY_ORDER:
         raise CapacityError(f"Farey order {x} exceeds materialization budget {MAX_FAREY_ORDER}")
-    # Each pair is sorted as one exact int64 key (floor(b 2^s / c) << w) | c,
+    # Each pair below 1/2 is sorted as one exact int64 key (floor(b 2^s / c) << w) | c,
     # with x < 2^w and s = 2w.  Distinct fractions with c <= x differ by at
     # least 1/x^2 > 2^-s, so their floors strictly increase with b/c and the
     # low w bits (c) never decide the order.  Unpacking, q = key >> w gives
@@ -158,14 +161,22 @@ def farey_sequence(x: int) -> FareySequence:
     w = x.bit_length()
     s = 2 * w
     count = int(_totients(x).sum(dtype=np.int64))
+    # b/c <-> (c - b)/c mirrors the sequence about 1/2: for c >= 3, phi(c) is
+    # even and b -> c - b pairs the numerators below c/2 with those above, so
+    # only the half = (count - 1) // 2 fractions below 1/2 are keyed and
+    # sorted.  Rows: those, then 1/2 (x >= 2), their mirrors in reverse order,
+    # and 1/1 last.  Rows c = 1 and c = 2 have no numerator below c/2.
+    half = (count - 1) // 2
     # Pair i's two int32 fill exactly the 8 bytes of int64 key i, so the keys
-    # are written and sorted in the output itself, then unpacked one
-    # SUM_BLOCK slice at a time through one reused buffer: a slice's pairs
-    # overwrite only its own keys, which the buffer already holds.
+    # are written and sorted in the output itself, in lower, then unpacked
+    # one SUM_BLOCK slice at a time through one reused buffer: a slice's
+    # pairs overwrite only its own keys, which the buffer already holds.
     pairs = np.empty((count, 2), dtype=np.int32)
-    key = pairs.reshape(-1).view(np.int64)
+    lower = pairs[:half]
+    key = lower.reshape(-1).view(np.int64)
     start = 0
     for c, b in _coprime_rows(x):
+        b = b[: b.size // 2]  # the numerators below c/2
         row = key[start : start + b.size]
         np.left_shift(b, s, out=row)
         row //= c
@@ -173,9 +184,9 @@ def farey_sequence(x: int) -> FareySequence:
         row |= c
         start += b.size
     key.sort()
-    buffer = np.empty(min(SUM_BLOCK, count), dtype=np.int64)
-    for start in range(0, count, SUM_BLOCK):
-        out = pairs[start : start + SUM_BLOCK]
+    buffer = np.empty(min(SUM_BLOCK, half), dtype=np.int64)
+    for start in range(0, half, SUM_BLOCK):
+        out = lower[start : start + SUM_BLOCK]
         q = buffer[: len(out)]
         q[...] = key[start : start + len(out)]
         np.bitwise_and(q, (1 << w) - 1, out=out[:, 1])
@@ -183,6 +194,13 @@ def farey_sequence(x: int) -> FareySequence:
         q *= out[:, 1]
         q += 1 << (s - 1)
         np.right_shift(q, s, out=out[:, 0])
+    # the mirror (c - b, c) of row half - 1 - i is row half + 1 + i
+    mirrored = lower[::-1]
+    upper = pairs[half + 1 : -1]
+    np.subtract(mirrored[:, 1], mirrored[:, 0], out=upper[:, 0])
+    upper[:, 1] = mirrored[:, 1]
+    pairs[half] = 1, 2  # at x = 1, row half is the last one, 1/1
+    pairs[-1] = 1, 1
     pairs.flags.writeable = False
     return FareySequence(pairs)
 
@@ -190,12 +208,13 @@ def farey_sequence(x: int) -> FareySequence:
 def weyl_average(integrand: Integrand, x: int) -> float:
     """Mean of the integrand over the Farey fractions of order x.
 
-    Samples the coprime rows farey_sequence sorts, one grid row per
-    denominator c <= x at the b/c with b <= c and gcd(b, c) = 1, gathered
-    into batches of consecutive rows that each hold at least SUM_BLOCK
-    values (the last may hold fewer), one integrand call per batch, and
-    streams them into exact_sum, whose sum depends neither on the order of
-    the values nor on their chunking; divided by Phi(x), counted as in
+    Samples the whole of each coprime row, where farey_sequence keys only
+    the half below 1/2: one grid row per denominator c <= x at the b/c
+    with b <= c and gcd(b, c) = 1, gathered into batches of consecutive
+    rows that each hold at least SUM_BLOCK values (the last may hold
+    fewer), one integrand call per batch, and streams them into
+    exact_sum, whose sum depends neither on the order of the values nor
+    on their chunking; divided by Phi(x), counted as in
     farey_sequence, it is bit-identical to the mean over its fractions.
     A batch holds fewer than SUM_BLOCK + x values, so the integrand's
     temporaries stay O(SUM_BLOCK + x).  Raises EvaluationError if the sum

@@ -311,15 +311,17 @@ def convergence_table(
 ) -> list[NormReport]:
     """One NormReport per order, all against the same predict_limit value.
 
-    Orders must be strictly increasing.  Nothing is emitted if any inner
-    computation fails; the reports are computed from the largest order
-    down, so an order past MAX_NORM_ORDER raises before any row is sampled.
+    Orders must be strictly increasing, and every one is checked before
+    predict_limit runs.  Nothing is emitted if any inner computation fails;
+    the reports are computed from the largest order down, so an order past
+    MAX_NORM_ORDER raises before any row is sampled.
     """
     orders = list(orders)
     if not orders:
         raise ValueError("orders must be nonempty")
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValueError(f"orders must be strictly increasing, got {orders}")
+    specs = [SampledMatrixSpec(integrand, n) for n in orders[::-1]]
     predicted = predict_limit(integrand, m)
-    raw = {n: norm_power(SampledMatrixSpec(integrand, n), m) for n in orders[::-1]}
+    raw = {spec.order: norm_power(spec, m) for spec in specs}
     return [NormReport(n, float(m), raw[n], predicted) for n in orders]

@@ -203,9 +203,13 @@ class TestFareySequence:
 
     @pytest.mark.parametrize(
         "x",
-        # Phi(x) first exceeds one SUM_BLOCK slice of keys at 329, and the key
-        # width w = x.bit_length() steps up at 4096
-        [*around_squares((2, 3, 7, 31)), 328, 329, 1000, 2000, 4095, 4096, 4097, MAX_FAREY_ORDER],
+        # the keyed lower half, (Phi(x) - 1) // 2, first exceeds one SUM_BLOCK
+        # slice of keys at 464, and the key width w = x.bit_length() steps up
+        # at 4096
+        [
+            *around_squares((2, 3, 7, 31)),
+            *(328, 329, 463, 464, 1000, 2000, 4095, 4096, 4097, MAX_FAREY_ORDER),
+        ],
     )
     def test_matches_float_sort_reference(self, x):
         fractions = farey_sequence(x).fractions

@@ -648,3 +648,15 @@ class TestConvergenceTable:
             convergence_table(EXP, 1.0, [10, 10, 20])
         with pytest.raises(ValueError):
             convergence_table(EXP, 1.0, [])
+
+    @pytest.mark.parametrize("orders", [[0, 8000], [2.5, 8000]])
+    def test_every_order_checked_before_any_work(self, monkeypatch, orders):
+        # a bad first order raises before the limit is integrated or the
+        # largest order summed
+        def fail(*args):
+            raise AssertionError("called before the orders were checked")
+
+        monkeypatch.setattr(ratiolab.matrix_core, "predict_limit", fail)
+        monkeypatch.setattr(ratiolab.matrix_core, "norm_power", fail)
+        with pytest.raises(ValueError, match="order must be"):
+            convergence_table(EXP, 1.0, orders)
