@@ -160,11 +160,12 @@ def _run_farey(args) -> tuple[list[dict], dict]:
     predicted = predict_limit(integrand, 1.0)
 
     def row(x: int) -> dict:
-        sequence = farey_mod.farey_sequence(x)
+        # the count alone is kept, so the fractions are freed before the walk below
+        phi = farey_mod.farey_sequence(x).count
         average = farey_mod.weyl_average(integrand, x)
         return {
             "x": x,
-            "phi": sequence.count,
+            "phi": phi,
             "average": average,
             "predicted": predicted,
             "abs_error": abs(average - predicted),

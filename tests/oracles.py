@@ -175,6 +175,21 @@ def phi_by_mobius(x: int, mu: list[int]) -> int:
     return (1 + sum(mu[d] * (x // d) ** 2 for d in range(1, x + 1))) // 2
 
 
+def von_mangoldt(c: int) -> float:
+    """Lambda(c): ln p if c is a power of the prime p, else 0, by trial division."""
+    for p in range(2, math.isqrt(c) + 1):
+        if c % p == 0:
+            while c % p == 0:
+                c //= p
+            return math.log(p) if c == 1 else 0.0
+    return math.log(c) if c > 1 else 0.0
+
+
+def chebyshev_psi(x: int) -> float:
+    """psi(x) = sum_{c<=x} Lambda(c), summed by math.fsum."""
+    return math.fsum(von_mangoldt(c) for c in range(1, x + 1))
+
+
 def coprime_pair_count(n: int) -> int:
     """Exhaustive gcd double loop over [1, n]^2."""
     return sum(

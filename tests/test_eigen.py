@@ -38,6 +38,25 @@ def frobenius_norm(full: np.ndarray) -> float:
     return top * float(np.linalg.norm(full / top)) if top else 0.0
 
 
+#: Exponents alpha of the integrands x^alpha, and the orders, of TestSpectralLimit.
+POWERS = (0.5, 1.0, 1.5, 2.0)
+LIMIT_ORDERS = (128, 256, 512)
+#: How many of the largest eigenvalues TestSpectralLimit compares with their limits.
+TOP = 5
+
+
+@pytest.fixture(scope="module")
+def power_spectra():
+    """lambda / n of materialize(x^alpha, n), descending, for each alpha and limit order."""
+    spectra = {}
+    for alpha in POWERS:
+        integrand = Integrand(eval=lambda x, a=alpha: np.power(x, a), label=f"x^{alpha}")
+        for n in LIMIT_ORDERS:
+            lam = jacobi_eigenvalues(materialize(SampledMatrixSpec(integrand, n))).eigenvalues
+            spectra[alpha, n] = lam[::-1] / n
+    return spectra
+
+
 @pytest.fixture(scope="module")
 def identity_spectra():
     """lambda / n of materialize(IDENTITY, n) for each oracle order, one solve each."""
@@ -397,6 +416,53 @@ class TestIdentityKernelOracle:
     def test_power_sums_approach_rayleigh_sums_from_above(self, identity_spectra, power, limit):
         # measured gaps 0.0040/0.0020/0.0010 (cubes), 0.0029/0.0014/0.0007 (fourth powers)
         gaps = [math.fsum((identity_spectra[n] ** power).tolist()) - limit for n in ORACLE_ORDERS]
+        assert all(gap > 0 for gap in gaps)
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 0.4 * coarse <= fine <= 0.6 * coarse
+
+
+class TestSpectralLimit:
+    """For f(x) = x^alpha, A / n is the Nystrom matrix of the kernel
+    f(min(s, t) / max(s, t)) on [0, 1] at the nodes j / n.  The change of
+    variable x = e^-s turns that kernel into e^(-alpha |s - t|), the Green's
+    function of (alpha^2 - d^2/ds^2) / (2 alpha) on [0, inf) with
+    J_(2 alpha - 1)(z) = 0 at s = 0, so lambda_k / n tends to
+    mu_k = 8 alpha / j_(2 alpha - 1, k)^2, with an error close to c_k / n.
+    Rayleigh's sums of Bessel zeros (Watson, section 15.51) give
+    sum mu^2 = 1 / (2 alpha + 1) and
+    sum mu^4 = (10 alpha + 6) / ((2 alpha + 1)^2 (2 alpha + 2) (2 alpha + 3))."""
+
+    @staticmethod
+    def limits(alpha):
+        return np.array(
+            [8 * alpha / float(mpmath.besseljzero(2 * alpha - 1, k)) ** 2 for k in range(1, TOP + 1)]
+        )
+
+    @pytest.mark.parametrize("alpha", POWERS)
+    def test_richardson_value_matches_bessel_limits(self, power_spectra, alpha):
+        # three points cancel errors a / n + b / n^2; measured worst gaps
+        # 2.3e-9, 9.7e-8, 2.9e-7 and 1.1e-7 for alpha = 1/2, 1, 3/2, 2
+        quarter, half, full = (power_spectra[alpha, n][:TOP] for n in LIMIT_ORDERS)
+        extrapolated = (8 * full - 6 * half + quarter) / 3
+        np.testing.assert_allclose(extrapolated, self.limits(alpha), rtol=0, atol=5e-7)
+
+    @pytest.mark.parametrize("alpha", POWERS)
+    def test_plain_error_halves_with_each_doubling(self, power_spectra, alpha):
+        # measured ratios of the largest error among the top 5: 1.999 to 2.025
+        mu = self.limits(alpha)
+        errors = [np.max(np.abs(power_spectra[alpha, n][:TOP] - mu)) for n in LIMIT_ORDERS]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 1.9 <= coarse / fine <= 2.1
+
+    @pytest.mark.parametrize("power", [2, 4])
+    @pytest.mark.parametrize("alpha", POWERS)
+    def test_power_sums_approach_rayleigh_sums_from_above(self, power_spectra, alpha, power):
+        # measured ratios of successive gaps: 0.48 to 0.50
+        a = 2 * alpha
+        limit = 1 / (a + 1) if power == 2 else (5 * a + 6) / ((a + 1) ** 2 * (a + 2) * (a + 3))
+        gaps = [
+            math.fsum((power_spectra[alpha, n] ** power).tolist()) - limit for n in LIMIT_ORDERS
+        ]
         assert all(gap > 0 for gap in gaps)
         for coarse, fine in zip(gaps, gaps[1:]):
             assert 0.4 * coarse <= fine <= 0.6 * coarse

