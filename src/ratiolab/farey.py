@@ -214,36 +214,36 @@ def weyl_average(integrand: Integrand, x: int) -> float:
     rows that each hold at least SUM_BLOCK values (the last may hold
     fewer), one integrand call per batch, and streams them into
     exact_sum, whose sum depends neither on the order of the values nor
-    on their chunking; divided by Phi(x), counted as in
-    farey_sequence, it is bit-identical to the mean over its fractions.
-    A batch holds fewer than SUM_BLOCK + x values, so the integrand's
-    temporaries stay O(SUM_BLOCK + x).  Raises EvaluationError if the sum
-    is not finite, and CapacityError above MAX_WEYL_ORDER.
+    on their chunking; divided by the Phi(x) values walked, it is
+    bit-identical to the mean over its fractions.  A batch holds fewer
+    than SUM_BLOCK + x values, so the integrand's temporaries stay
+    O(SUM_BLOCK + x).  Raises EvaluationError if the sum is not finite,
+    and CapacityError above MAX_WEYL_ORDER.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if x > MAX_WEYL_ORDER:
         raise CapacityError(f"Weyl average order {x} exceeds budget {MAX_WEYL_ORDER}")
+    sizes = []
 
     def batches() -> Iterator[np.ndarray]:
-        # rows are at most x long, so a batch of SUM_BLOCK or more fits;
-        # exact_sum copies each batch before it asks for the next one, so
-        # the points are refilled in place
+        # rows are at most x long, so a batch of SUM_BLOCK or more fits, and
+        # row x, never empty, ends the last one; exact_sum copies each batch
+        # before it asks for the next one, so the points are refilled in place
         points = np.empty(SUM_BLOCK + x)
         size = 0
         for c, b in _coprime_rows(x):
             np.divide(b, c, out=points[size : size + b.size])
             size += b.size
-            if size >= SUM_BLOCK:
+            if size >= SUM_BLOCK or c == x:
+                sizes.append(size)
                 yield integrand.eval(points[:size])
                 size = 0
-        if size:
-            yield integrand.eval(points[:size])
 
     total = exact_sum(batches())
     if not math.isfinite(total):
         raise EvaluationError(f"average of {integrand.label!r} over order {x} is not finite")
-    return total / int(_totients(x).sum(dtype=np.int64))
+    return total / sum(sizes)
 
 
 def coprime_density(n: int) -> float:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from ratiolab import eigen, farey, hadamard, matrix_core, specfun
-from ratiolab.cli import build_parser, main
+from ratiolab.cli import _render_csv, build_parser, main
 from ratiolab.eigen import MAX_EIGEN_ORDER
 from ratiolab.farey import MAX_FAREY_ORDER
 from ratiolab.matrix_core import MAX_NORM_ORDER
@@ -149,10 +149,18 @@ class TestOutputContracts:
         assert row["trace"] == f"{float(row['trace']):.17g}"
 
 
-#: stdout of runs whose values are exactly rounded sums (or integer Hadamard
-#: checks), so single samples that move by an ulp with numpy's SIMD kernels
-#: leave the bytes alone; CI also reruns these pins with the SIMD targets off.
+#: The one list of CLI commands whose stdout bytes are pinned.  Their values
+#: are exactly rounded sums, integer Hadamard checks and the reflection
+#: residuals, so single samples that move by an ulp with numpy's SIMD kernels
+#: leave the bytes alone; CI reruns these pins with the SIMD targets off.
+#: Each command other than the JSON one is also run with --format json,
+#: whose rows must render to the same CSV.
 PINNED_OUTPUTS = {
+    "norm --orders 4,8": (
+        "n,raw,normalized,predicted,abs_error\n"
+        "4,30.956756195519056,1.934797262219941,1.718281828459046,0.21651543376089499\n"
+        "8,116.48904293945785,1.8201412959290288,1.718281828459046,0.10185946746998287\n"
+    ),
     "norm --f identity --m 1": (
         "n,raw,normalized,predicted,abs_error\n"
         "64,2080,0.5078125,0.5,0.0078125\n"
@@ -179,22 +187,86 @@ PINNED_OUTPUTS = {
         "300,155177.18591762363,1.7241909546402625,1.8663170837935656,0.14212612915330314\n"
         "514,467400.58772625338,1.7691433168036359,1.8663170837935656,0.097173766989929744\n"
     ),
+    # the deepest left-edge quadrature a preset reaches that passes the edge
+    # check (exp at m >= 5 stays out: its sums of exp(x)^m follow the numpy
+    # kernels, see README)
+    "norm --f lngamma --m 4 --orders 64": (
+        "n,raw,normalized,predicted,abs_error\n"
+        "64,39469.032213422419,9.6359941927300827,23.389514465513969,13.753520272783886\n"
+    ),
     "norm --f exp --m 3 --orders 1020": (
         "n,raw,normalized,predicted,abs_error\n"
         "1020,6624403.4491400337,6.3671697896386332,6.3618456410625557,0.0053241485760775475\n"
     ),
-    "gamma --mode integral --orders 129,514": (
+    "gamma --mode integral --orders 2,16,129,300,514": (
         "n,matrix_route,closed_route,abs_diff,rel_diff,limit\n"
+        "2,0.28618247146235021,0.28618247146234999,2.2204460492503131e-16,"
+        "7.7588471365984191e-16,0.91893853320467267\n"
+        "16,0.7416929213400032,0.74169292134000298,2.2204460492503131e-16,"
+        "2.9937538641176109e-16,0.91893853320467267\n"
         "129,0.88169267287927278,0.88169267287927267,1.1102230246251565e-16,"
         "1.2591950220019304e-16,0.91893853320467267\n"
+        "300,0.90015422865015648,0.90015422865015637,1.1102230246251565e-16,"
+        "1.2333697818539529e-16,0.91893853320467267\n"
         "514,0.90693654461739603,0.90693654461739581,2.2204460492503131e-16,"
         "2.4482926202814335e-16,0.91893853320467267\n"
     ),
-    "farey --f identity --x 5,50,500": (
+    # rowproduct and sine-even at 40000 stream two slices of specfun's grid
+    "gamma --mode rowproduct --orders 2,40000": (
+        "k,log_product,closed_form,abs_diff\n"
+        "2,0.57236494292469953,0.57236494292469997,4.4408920985006262e-16\n"
+        "40000,36751.324072287163,36751.324072287156,7.2759576141834259e-12\n"
+    ),
+    "gamma --mode sine-even --orders 2,40000": (
+        "n,order,residual\n2,4,8.8817841970012523e-16\n40000,80000,5.8014120440930128e-07\n"
+    ),
+    # ln Gamma series values plus libm's log of t less its log of pi t / sin(pi t)
+    "gamma --mode reflection": (
+        "s,residual\n"
+        "0.050000000000000003,-9.6277152916712794e-17\n"
+        "0.10000000000000001,8.1878948066105295e-16\n"
+        "0.14999999999999999,6.3143934525555778e-16\n"
+        "0.20000000000000001,6.2450045135165055e-16\n"
+        "0.25,5.5511151231257827e-16\n"
+        "0.29999999999999999,6.3837823915946501e-16\n"
+        "0.34999999999999998,9.9920072216264089e-16\n"
+        "0.40000000000000002,2.1094237467877974e-15\n"
+        "0.45000000000000001,1.1657341758564144e-15\n"
+        "0.5,-1.0547118733938987e-15\n"
+        "0.55000000000000004,1.0547118733938987e-15\n"
+        "0.59999999999999998,2.1094237467877974e-15\n"
+        "0.65000000000000002,9.9920072216264089e-16\n"
+        "0.69999999999999996,4.4408920985006262e-16\n"
+        "0.75,5.5511151231257827e-16\n"
+        "0.80000000000000004,6.2450045135165055e-16\n"
+        "0.84999999999999998,6.3143934525555778e-16\n"
+        "0.90000000000000002,8.1878948066105295e-16\n"
+        "0.94999999999999996,1.2490009027033011e-16\n"
+    ),
+    # 1, 2 and 3 take the edge shapes of farey_sequence's mirror about 1/2 (no
+    # 1/2, an empty lower half, the first nonempty one); at 4095, 4096 and
+    # 5000 it reaches its budget, where the key width w steps from 12 to 13 bits
+    "farey --f identity --x 1,2,3,5,50,500,4095,4096,5000": (
         "x,phi,average,predicted,abs_error,coprime_density\n"
+        "1,1,1,0.5,0.5,1\n"
+        "2,2,0.75,0.5,0.25,0.75\n"
+        "3,4,0.625,0.5,0.125,0.77777777777777779\n"
         "5,10,0.55000000000000004,0.5,0.050000000000000044,0.76000000000000001\n"
         "50,774,0.50064599483204131,0.5,0.00064599483204130781,0.61880000000000002\n"
         "500,76116,0.50000656892112039,0.5,6.5689211203867615e-06,0.60892400000000002\n"
+        "4095,5097972,0.50000009807821622,0.5,9.8078216215213843e-08,0.60802241036673266\n"
+        "4096,5100020,0.50000009803883128,0.5,9.803883127545987e-08,0.60796970129013062\n"
+        "5000,7600458,0.50000006578550926,0.5,6.5785509262283881e-08,0.60803660000000004\n"
+    ),
+    "farey --f lngamma --x 50": (
+        "x,phi,average,predicted,abs_error,coprime_density\n"
+        "50,774,0.88578397386434482,0.918938533204681,0.033154559340336176,0.61880000000000002\n"
+    ),
+    # farey at 2000 sorts 34-bit keys and averages over many batches
+    "farey --f exp --x 2000": (
+        "x,phi,average,predicted,abs_error,coprime_density\n"
+        "2000,1216588,1.7182816317117746,1.718281828459046,1.9674727136376191e-07,"
+        "0.60829374999999997\n"
     ),
     # order 1: LAPACK returns the one entry of a 1 x 1 matrix as its eigenvalue
     "eigen --f identity --orders 1 --format json": (
@@ -204,13 +276,16 @@ PINNED_OUTPUTS = {
         '      "sum_sq": 1.0,\n      "frobenius_sq": 1.0,\n      "normalized_sum_sq": 1.0\n'
         "    }\n  ]\n}\n"
     ),
-    "hadamard --check orthogonality --k 0,1,2,3,4": (
+    # k = 10 and 11 double the Sylvester matrix in place up to DENSE_LIMIT
+    "hadamard --check orthogonality --k 0,1,2,3,4,11": (
         "k,order,is_hadamard\n0,1,true\n1,2,true\n2,4,true\n3,8,true\n4,16,true\n"
+        "11,2048,true\n"
     ),
-    "hadamard --check oscillation --k 1,2,3,4,5": (
+    "hadamard --check oscillation --k 1,2,3,4,5,10,11": (
         "k,order,mismatch_count,lower_bound,verdict\n"
         "1,2,0,0,inconclusive\n2,4,1,0.5,inconclusive\n3,8,3,0.75,exceeds_half\n"
         "4,16,7,0.875,exceeds_half\n5,32,15,0.9375,exceeds_half\n"
+        "10,1024,511,0.998046875,exceeds_half\n11,2048,1023,0.9990234375,exceeds_half\n"
     ),
     "hadamard --check spectral --k 0,1,2,3,4": (
         "k,order,sum_sq,order_sq\n0,1,1,1\n1,2,4,4\n2,4,16,16\n3,8,64,64\n4,16,256,256\n"
@@ -225,6 +300,12 @@ class TestPinnedOutputs:
         assert code == 0
         assert err == ""
         assert out == PINNED_OUTPUTS[command]
+
+    @pytest.mark.parametrize("command", sorted(c for c in PINNED_OUTPUTS if "--format" not in c))
+    def test_json_rows_match_pin(self, capsys, command):
+        code, out, err = run_cli(capsys, command.split() + ["--format", "json"])
+        assert (code, err) == (0, "")
+        assert _render_csv(json.loads(out)["rows"]) == PINNED_OUTPUTS[command]
 
     def test_one_parser_per_process_keeps_no_state(self, capsys):
         # a usage error and a computation error first leave the pinned bytes,
