@@ -40,6 +40,8 @@ POWERS = (0.5, 1.0, 1.5, 2.0)
 LIMIT_ORDERS = (64, 128, 256, 512)
 #: How many of the largest eigenvalues TestSpectralLimit compares with their limits.
 TOP = 5
+#: Orders of the closed-form oracle for the identity kernel, one doubling apart.
+ORACLE_ORDERS = (64, 128, 256)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +54,15 @@ def power_spectra():
             lam = jacobi_eigenvalues(materialize(SampledMatrixSpec(integrand, n))).eigenvalues
             spectra[alpha, n] = lam[::-1] / n
     return spectra
+
+
+@pytest.fixture(scope="module")
+def identity_spectra():
+    """lambda / n of materialize(IDENTITY, n) for each oracle order, one solve each."""
+    return {
+        n: jacobi_eigenvalues(materialize(SampledMatrixSpec(IDENTITY, n))).eigenvalues / n
+        for n in ORACLE_ORDERS
+    }
 
 
 class TestMaterialize:
@@ -384,6 +395,30 @@ class TestSpectralSumReport:
 
         with pytest.raises(CapacityError, match=f"order {n} exceeds eigen limit"):
             spectral_sum_report(Integrand(eval=unsampled, label="unsampled"), n)
+
+
+class TestIdentityKernelOracle:
+    """The kernel min(s, t) / max(s, t) on [0, 1] has the eigenvalues
+    mu_k = 8 / j_{1,k}^2, j_{1,k} the positive zeros of the Bessel function
+    J_1, so lambda / n of the sampled identity matrix tends to them.  Its
+    traces of K^3 and K^4 are the Rayleigh sums 8^3 sum j^-6 = 1/6 and
+    8^4 sum j^-8 = 4/45."""
+
+    @pytest.mark.parametrize("n", ORACLE_ORDERS)
+    def test_top_eigenvalues_just_above_bessel_limits(self, identity_spectra, n):
+        # measured n (lambda_k / n - mu_k): 0.279/0.093/0.057/0.047 at n = 64
+        top = np.sort(identity_spectra[n])[::-1][:4]
+        for k, value in enumerate(top, start=1):
+            mu = 8.0 / float(mpmath.besseljzero(1, k)) ** 2
+            assert mu < value <= mu + 0.3 / n, f"k={k}"
+
+    @pytest.mark.parametrize("power, limit", [(3, 1 / 6), (4, 4 / 45)])
+    def test_power_sums_approach_rayleigh_sums_from_above(self, identity_spectra, power, limit):
+        # measured gaps 0.0040/0.0020/0.0010 (cubes), 0.0029/0.0014/0.0007 (fourth powers)
+        gaps = [math.fsum((identity_spectra[n] ** power).tolist()) - limit for n in ORACLE_ORDERS]
+        assert all(gap > 0 for gap in gaps)
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 0.4 * coarse <= fine <= 0.6 * coarse
 
 
 class TestSpectralLimit:
